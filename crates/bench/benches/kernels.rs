@@ -10,7 +10,7 @@ use bootes_linalg::kmeans::{kmeans, KMeansConfig};
 use bootes_linalg::lanczos::{lanczos_smallest, LanczosConfig};
 use bootes_linalg::laplacian::{normalized_laplacian, ImplicitNormalizedLaplacian};
 use bootes_linalg::operator::LinearOperator;
-use bootes_sparse::ops::{block_spgemm, similarity_matrix, spgemm, spgemm_hash, BlockSparseMatrix};
+use bootes_sparse::ops::{block_spgemm, similarity_matrix, spgemm, BlockSparseMatrix};
 use bootes_sparse::DenseMatrix;
 use bootes_workloads::gen::{clustered_with_density, GenConfig};
 
@@ -33,9 +33,6 @@ fn bench_spgemm(c: &mut Criterion) {
         let a = workload(n);
         g.bench_with_input(BenchmarkId::new("dense_acc", n), &a, |b, a| {
             b.iter(|| spgemm(black_box(a), black_box(a)).expect("square"))
-        });
-        g.bench_with_input(BenchmarkId::new("hash_acc", n), &a, |b, a| {
-            b.iter(|| spgemm_hash(black_box(a), black_box(a)).expect("square"))
         });
         // TileSpGEMM-style block kernel (conversion amortized outside).
         let blocked = BlockSparseMatrix::from_csr(&a, 16).expect("valid block size");

@@ -1,7 +1,7 @@
 //! Parallel-kernel speedup sweep for `bootes-par`.
 //!
-//! Sweeps the SpGEMM kernels (dense, hash, and adaptive accumulators), the
-//! similarity product, and SpMV over threads ∈ {1, 2, 4, 8} on a clustered
+//! Sweeps the dense-accumulator SpGEMM kernel, the similarity product, and
+//! SpMV over threads ∈ {1, 2, 4, 8} on a clustered
 //! matrix of ~`BOOTES_PAR_NNZ` nonzeros (default 1e6), verifies every
 //! parallel output is bit-identical to the serial one, and writes
 //! `results/par_speedup.json`. Each row carries the per-region load-balance
@@ -19,7 +19,7 @@
 
 use bootes_bench::results_dir;
 use bootes_bench::table::{f2, save_json, Table};
-use bootes_sparse::ops::{par_similarity_matrix, par_spgemm, par_spgemm_adaptive, par_spgemm_hash};
+use bootes_sparse::ops::{par_similarity_matrix, par_spgemm};
 use bootes_workloads::gen::{clustered_with_density, GenConfig};
 use serde::Serialize;
 
@@ -157,24 +157,6 @@ fn main() {
         "spgemm.dense_acc",
         nnz,
         |t| par_spgemm(&a, &b, t).expect("valid operands"),
-    );
-    sweep_kernel(
-        &mut runner,
-        &mut table,
-        &mut results,
-        "spgemm.hash_acc",
-        "spgemm.hash_acc",
-        nnz,
-        |t| par_spgemm_hash(&a, &b, t).expect("valid operands"),
-    );
-    sweep_kernel(
-        &mut runner,
-        &mut table,
-        &mut results,
-        "spgemm.adaptive",
-        "spgemm.adaptive",
-        nnz,
-        |t| par_spgemm_adaptive(&a, &b, t).expect("valid operands"),
     );
     sweep_kernel(
         &mut runner,

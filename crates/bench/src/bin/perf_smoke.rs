@@ -1,7 +1,8 @@
 //! Quick perf smoke suite — the workload behind the CI perf gate.
 //!
-//! Measures the hot kernels (SpGEMM dense/hash accumulator, SpMV,
-//! similarity, k-means assignment via the pipeline's clustering step) on
+//! Measures the hot kernels (dense-accumulator SpGEMM, similarity, SpMV,
+//! the Lanczos eigensolve on the implicit normalized Laplacian, and k-means
+//! via the pipeline's clustering step) on
 //! small fixed inputs through the [`bootes_perf::Runner`] (warmup + repeats,
 //! median/MAD), appends the run to `results/history/perf_smoke.jsonl`, and
 //! blesses `results/baselines/perf_smoke.json` when `BOOTES_BLESS_PERF=1`.
@@ -12,8 +13,10 @@
 //! allowance regressions in kernels, not reproducing paper figures.
 
 use bootes_bench::results_dir;
-use bootes_linalg::{kmeans_threads, KMeansConfig};
-use bootes_sparse::ops::{par_similarity_matrix, par_spgemm, par_spgemm_hash};
+use bootes_core::BootesConfig;
+use bootes_linalg::laplacian::ImplicitNormalizedLaplacian;
+use bootes_linalg::{kmeans_threads, lanczos_smallest, KMeansConfig, LanczosConfig};
+use bootes_sparse::ops::{par_similarity_matrix, par_spgemm};
 use bootes_sparse::DenseMatrix;
 use bootes_workloads::gen::{clustered_with_density, GenConfig};
 
@@ -41,11 +44,6 @@ fn main() {
     runner.measure(&format!("spgemm_dense/t{threads}"), || {
         par_spgemm(&a, &a, threads).expect("valid operands").nnz()
     });
-    runner.measure(&format!("spgemm_hash/t{threads}"), || {
-        par_spgemm_hash(&a, &a, threads)
-            .expect("valid operands")
-            .nnz()
-    });
     runner.measure(&format!("similarity/t{threads}"), || {
         par_similarity_matrix(&a, threads).nnz()
     });
@@ -54,6 +52,26 @@ fn main() {
     runner.measure(&format!("spmv/t{threads}"), || {
         a.par_matvec_into(&x, &mut y, threads);
         y[0]
+    });
+    // The product-path eigensolve: the spectral reorderer's default solver
+    // settings at k = 8 (its SpMVs run on the global thread policy, which
+    // `threads` reports).
+    let bcfg = BootesConfig::default();
+    let k = bcfg.k;
+    let k_embed = k + bcfg.extra_embed.min(k);
+    let lcfg = LanczosConfig {
+        tol: bcfg.eig_tol,
+        max_restarts: bcfg.max_restarts,
+        seed: bcfg.seed,
+        allow_unconverged: true,
+        converge_k: k,
+        max_subspace: (k_embed + 16).min(n),
+    };
+    let op = ImplicitNormalizedLaplacian::new(&a);
+    runner.measure(&format!("lanczos/t{threads}"), || {
+        lanczos_smallest(&op, k_embed, &lcfg)
+            .expect("valid Laplacian")
+            .matvecs
     });
     // K-means assignment over a modest point set (d=8, k=8).
     let pts: Vec<f64> = (0..(1024 * 8))

@@ -148,6 +148,7 @@ pub fn measure_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Label {
     // out and fold the winner in k order, so the chosen label is the same for
     // any thread count (strict `<` keeps the first-smallest-k tie-break).
     let sweeps = bootes_par::map_indices(
+        "label.sweep",
         bootes_par::threads().min(CANDIDATE_KS.len()),
         CANDIDATE_KS.len(),
         |i| {
@@ -158,7 +159,8 @@ pub fn measure_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Label {
                 Some((k, traffic_at(a, &b, Some(k), accel)))
             }
         },
-    );
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     let mut best: Option<(usize, u64)> = None;
     for (k, t) in sweeps.into_iter().flatten() {
         if best.is_none_or(|(_, bt)| t < bt) {

@@ -237,6 +237,15 @@ fn serve_entry(rng: &mut StdRng) -> FaultEntry {
 mod tests {
     use super::*;
 
+    // Arming a spec (even briefly, to validate it) swaps the process-global
+    // failpoint table; serialize the tests that do so, so one test's
+    // restore-on-drop cannot reinstate another's spec.
+    static FP_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        FP_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     #[test]
     fn generation_is_deterministic() {
         for seed in 0..30 {
@@ -259,6 +268,7 @@ mod tests {
 
     #[test]
     fn generated_specs_parse_under_guard() {
+        let _g = serial();
         for seed in 0..60 {
             let s = Schedule::generate(seed);
             let spec = s.spec_string();
@@ -303,6 +313,7 @@ mod tests {
 
     #[test]
     fn replay_roundtrips() {
+        let _g = serial();
         for seed in 0..12 {
             let s = Schedule::generate(seed);
             let token = s.replay_string();

@@ -2,7 +2,7 @@
 
 use bootes_cache::{Artifact, ArtifactKind, CacheKey, RitzArtifact};
 use bootes_linalg::kmeans::{kmeans, KMeansConfig};
-use bootes_linalg::lanczos::{lanczos_smallest_warm, Eigenpairs, LanczosConfig};
+use bootes_linalg::lanczos::{lanczos_smallest, Eigenpairs, LanczosConfig};
 use bootes_linalg::laplacian::{normalized_laplacian, ImplicitNormalizedLaplacian};
 use bootes_linalg::LinalgError;
 use bootes_reorder::{MemTracker, ReorderError, ReorderOutcome, Reorderer, StatsScope};
@@ -119,8 +119,7 @@ impl SpectralReorderer {
         // sparsity pattern (both Laplacian forms are pattern-only operators)
         // plus every parameter the solve depends on. An exact hit is reused
         // verbatim — the solve is deterministic, so this is bit-identical to
-        // re-solving. A same-pattern entry under a different solver
-        // configuration seeds a warm start instead (opt-in, not bit-stable).
+        // re-solving.
         let cache = bootes_cache::global();
         let ritz_key = cache.as_ref().map(|_| {
             let fp = bootes_sparse::MatrixFingerprint::of(a);
@@ -143,17 +142,6 @@ impl SpectralReorderer {
             },
             _ => None,
         };
-        let warm: Vec<Vec<f64>> = if cached_eig.is_none() {
-            match (&cache, &ritz_key) {
-                (Some(c), Some(key)) => c
-                    .ritz_donor(key)
-                    .map(|d| d.pairs.eigenvectors)
-                    .unwrap_or_default(),
-                _ => Vec::new(),
-            }
-        } else {
-            Vec::new()
-        };
         let ritz_hit = cached_eig.is_some();
         let eig: Eigenpairs = if let Some(eig) = cached_eig {
             eig
@@ -175,7 +163,7 @@ impl SpectralReorderer {
             bootes_guard::check_bytes("spectral", mem.current_bytes() as u64)?;
             let eig = {
                 let _span = bootes_obs::span!("spectral.lanczos");
-                lanczos_smallest_warm(&laplacian, k_embed, &lcfg, &warm).map_err(numerical)?
+                lanczos_smallest(&laplacian, k_embed, &lcfg).map_err(numerical)?
             };
             mem.free(laplacian.heap_bytes());
             eig
@@ -190,7 +178,7 @@ impl SpectralReorderer {
             bootes_guard::check_bytes("spectral", mem.current_bytes() as u64)?;
             let eig = {
                 let _span = bootes_obs::span!("spectral.lanczos");
-                lanczos_smallest_warm(&op, k_embed, &lcfg, &warm).map_err(numerical)?
+                lanczos_smallest(&op, k_embed, &lcfg).map_err(numerical)?
             };
             mem.free(op.heap_bytes());
             eig

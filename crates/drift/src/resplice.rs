@@ -210,6 +210,14 @@ mod tests {
         coo.to_csr()
     }
 
+    // Failpoints are process-global: every test that reaches the
+    // `drift.resplice` site serializes with the one that arms it.
+    static FP_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        FP_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     #[test]
     fn changed_rows_diffs_and_handles_length_mismatch() {
         assert_eq!(changed_rows(&[1, 2, 3], &[1, 9, 3]), vec![1]);
@@ -219,6 +227,7 @@ mod tests {
 
     #[test]
     fn empty_delta_returns_the_donor_verbatim() {
+        let _g = serial();
         let a = two_clusters();
         let donor = Permutation::try_new(vec![7, 6, 5, 4, 3, 2, 1, 0]).unwrap();
         let out = resplice(&a, &donor, &[]).unwrap();
@@ -227,6 +236,7 @@ mod tests {
 
     #[test]
     fn changed_row_lands_next_to_its_cluster() {
+        let _g = serial();
         // Donor order groups cluster B then cluster A; row 2 (cluster A)
         // "changed" and must be respliced among the cluster-A block, not
         // left where the donor scan happens to put it.
@@ -246,6 +256,7 @@ mod tests {
 
     #[test]
     fn resplice_is_deterministic() {
+        let _g = serial();
         let a = two_clusters();
         let donor = Permutation::try_new(vec![4, 5, 6, 7, 0, 1, 2, 3]).unwrap();
         let x = resplice(&a, &donor, &[1, 6]).unwrap();
@@ -255,6 +266,7 @@ mod tests {
 
     #[test]
     fn invalid_inputs_error_instead_of_panicking() {
+        let _g = serial();
         let a = two_clusters();
         let short = Permutation::try_new(vec![0, 1, 2]).unwrap();
         assert!(matches!(
@@ -270,6 +282,7 @@ mod tests {
 
     #[test]
     fn injected_fault_surfaces_as_drift_error() {
+        let _g = serial();
         let _fp = bootes_guard::ScopedFailpoints::arm("drift.resplice=err").unwrap();
         let a = two_clusters();
         let donor = Permutation::identity(8);

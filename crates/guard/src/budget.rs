@@ -200,12 +200,7 @@ pub fn check_bytes(stage: &str, bytes: u64) -> Result<(), GuardError> {
 mod tests {
     use super::*;
 
-    // Budgets are process-global; serialize the tests that arm them.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    use crate::test_serial as serial;
 
     #[test]
     fn unarmed_checkpoint_is_ok() {

@@ -397,12 +397,7 @@ pub fn fail_point(site: &str) -> Result<(), GuardError> {
 mod tests {
     use super::*;
 
-    // Failpoints are process-global; serialize tests that arm them.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    use crate::test_serial as serial;
 
     #[test]
     fn unset_fail_point_is_ok() {
@@ -463,6 +458,7 @@ mod tests {
 
     #[test]
     fn malformed_specs_are_rejected() {
+        let _g = serial();
         assert!(set_failpoints("nosite").is_err());
         assert!(set_failpoints("a=nope").is_err());
         assert!(set_failpoints("a=err@x").is_err());

@@ -60,3 +60,12 @@ pub use failpoint::{
     set_failpoints_seeded, ScopedFailpoints,
 };
 pub use tenant::{TenantBudgets, TenantPermit, TenantPolicy};
+
+/// Failpoints and the armed budget are both process-global, and
+/// [`checkpoint`] reaches both, so every unit test in this crate that arms
+/// either one, or calls a site that could be armed, serializes here.
+#[cfg(test)]
+pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}

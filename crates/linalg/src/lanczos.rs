@@ -60,8 +60,8 @@ impl Default for LanczosConfig {
 /// Converged eigenpairs returned by the eigensolvers.
 ///
 /// Serializable so the preprocessing artifact cache (`bootes-cache`) can
-/// persist converged Ritz pairs and warm-start later solves on recurring
-/// sparsity patterns (see [`lanczos_smallest_warm`]).
+/// persist converged Ritz pairs and reuse them on recurring sparsity
+/// patterns.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Eigenpairs {
     /// Eigenvalues in ascending order.

@@ -19,9 +19,10 @@
 //! - a weighted contiguous range partitioner ([`partition_weighted`]) that
 //!   balances nnz/flop work across chunks, plus [`chunk_count`] for the
 //!   standard oversubscription factor fed to it,
-//! - ordered-merge parallel combinators ([`map_ranges`], [`map_indices`],
-//!   [`for_each_chunk_mut`], [`join`]) whose results are stitched back in
-//!   chunk order.
+//! - four ordered-merge parallel combinators ([`map_ranges`],
+//!   [`map_indices`], [`for_each_chunk_mut`], [`join`]) whose results are
+//!   stitched back in chunk order. All four are fallible: they return
+//!   `Result<_, GuardError>`.
 //!
 //! # Determinism
 //!
@@ -44,14 +45,14 @@
 //! bisection halves each running parallel kernels) runs inline on that
 //! worker instead of re-entering the pool — dispatching to the pool from
 //! inside it could deadlock, and outer-level parallelism already owns the
-//! cores. [`try_join`] spawns its own scoped thread and is unaffected.
+//! cores. [`join`] spawns its own scoped thread and is unaffected.
 //!
 //! # Per-worker attribution
 //!
-//! The `*_in` combinator variants ([`try_map_ranges_in`],
-//! [`try_for_each_chunk_mut_in`], ...) take a **region name** (conventionally
-//! the kernel's span name, e.g. `"spgemm.dense_acc"`). While profiling is
-//! enabled, each invocation aggregates:
+//! [`map_ranges`], [`map_indices`] and [`for_each_chunk_mut`] take a
+//! **region name** (conventionally the kernel's span name, e.g.
+//! `"spgemm.dense_acc"`). While profiling is enabled, each invocation
+//! aggregates:
 //!
 //! - `par.region.imbalance{region=<name>}` — max/mean worker busy time,
 //! - `par.region.utilization{region=<name>}` — Σ busy / (workers × wall),
@@ -64,20 +65,20 @@
 //! with profiling on but the timeline off, workers time their whole loop
 //! once instead of every chunk, and no `ChunkRecord` is pushed. With
 //! profiling disabled the attribution path costs one relaxed atomic load per
-//! region — no clock reads, no allocation. The unnamed combinators attribute
-//! to the `"par.unnamed"` region.
+//! region — no clock reads, no allocation.
 //!
 //! # Panic isolation
 //!
-//! Every chunk closure runs inside [`std::panic::catch_unwind`] and hits the
-//! `par.worker` guard failpoint first. The `try_*` combinators
-//! ([`try_map_ranges`], [`try_map_indices`], [`try_for_each_chunk_mut`],
-//! [`try_join`]) surface a panicking or fault-injected chunk as a typed
-//! [`GuardError`] instead of aborting the process; the infallible wrappers
-//! re-raise the rendered error as a panic for callers with no error channel
-//! (the fallback chain in `bootes-core` catches those at the rung boundary).
-//! When multiple chunks fail, the error reported is the failing chunk with
-//! the lowest index, keeping the observed failure deterministic.
+//! Every chunk closure (and each [`join`] side) runs inside
+//! [`std::panic::catch_unwind`] and hits the `par.worker` guard failpoint
+//! first, so a panicking or fault-injected chunk surfaces as a typed
+//! [`GuardError`] instead of aborting the process. Callers with an error
+//! channel propagate it with `?`; the two kernels without one
+//! (`par_similarity_matrix_csc`, `par_matvec_into` in `bootes-sparse`)
+//! re-raise it as a panic, which the fallback chain in `bootes-core` catches
+//! at the rung boundary. When multiple chunks fail, the error reported is
+//! the failing chunk with the lowest index, keeping the observed failure
+//! deterministic.
 
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
@@ -88,9 +89,6 @@ use std::time::Instant;
 pub use bootes_guard::GuardError;
 
 pub mod pool;
-
-/// Region name the unnamed combinators attribute their chunk timings to.
-pub const UNNAMED_REGION: &str = "par.unnamed";
 
 /// Explicitly configured thread count; `0` means "not set, use the default".
 static EXPLICIT: AtomicUsize = AtomicUsize::new(0);
@@ -243,16 +241,12 @@ struct WorkerStats {
     chunks: u64,
 }
 
-/// Runs one chunk closure behind the `par.worker` failpoint and a panic
-/// isolation boundary, converting both failure modes to [`GuardError`].
-fn run_chunk<R>(
-    i: usize,
-    range: Range<usize>,
-    f: &(impl Fn(usize, Range<usize>) -> R + Sync),
-) -> Result<R, GuardError> {
+/// Runs `f` behind the `par.worker` failpoint and a panic isolation
+/// boundary, converting both failure modes to [`GuardError`].
+fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, GuardError> {
     let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
         bootes_guard::fail_point("par.worker")?;
-        Ok(f(i, range))
+        Ok(f())
     }));
     match caught {
         Ok(res) => res,
@@ -263,7 +257,7 @@ fn run_chunk<R>(
     }
 }
 
-/// [`run_chunk`] with optional per-chunk timeline attribution: when
+/// [`guarded`] chunk call with optional per-chunk timeline attribution: when
 /// `timeline` is set the chunk is timed, recorded as a worker-chunk event in
 /// the calling thread's lane, and its duration tallied into `stats`. With
 /// the timeline off only the chunk count is tallied (no clock reads) — the
@@ -278,13 +272,13 @@ fn run_chunk_accounted<R>(
 ) -> Result<R, GuardError> {
     stats.chunks += 1;
     if !timeline {
-        return run_chunk(i, range, f);
+        return guarded(|| f(i, range));
     }
     let start_ns = bootes_obs::epoch_ns();
     let started = Instant::now();
     let weight = range.len() as u64;
     let recorded = range.clone();
-    let res = run_chunk(i, range, f);
+    let res = guarded(|| f(i, range));
     let dur_ns = started.elapsed().as_nanos() as u64;
     stats.busy_ns += dur_ns;
     bootes_obs::record_worker_chunk(region, i, recorded, weight, start_ns, dur_ns);
@@ -331,28 +325,17 @@ fn record_region(region: &str, wall_ns: u64, workers: &[WorkerStats]) {
 /// chunk index) [`GuardError`] if a chunk panicked or an armed failpoint
 /// fired.
 ///
+/// `region` names the invocation for attribution (use the kernel's span
+/// name): while profiling is enabled it records the `par.region.*`
+/// imbalance/utilization metrics, and when the chunk timeline is also on
+/// each chunk lands in its worker's Perfetto lane.
+///
 /// `f(chunk_index, range)` must be a pure function of its arguments for the
 /// determinism guarantee to carry through to the caller. With `threads <= 1`,
 /// a single range, or when called from inside a pool worker (nested region),
 /// the closure runs inline on the calling thread (and stops at the first
 /// failing chunk instead of attempting the rest).
-pub fn try_map_ranges<R, F>(
-    threads: usize,
-    ranges: &[Range<usize>],
-    f: F,
-) -> Result<Vec<R>, GuardError>
-where
-    R: Send,
-    F: Fn(usize, Range<usize>) -> R + Sync,
-{
-    try_map_ranges_in(UNNAMED_REGION, threads, ranges, f)
-}
-
-/// [`try_map_ranges`] attributed to the named region: while profiling is
-/// enabled the invocation records the `par.region.*` imbalance/utilization
-/// metrics under `region` (use the kernel's span name), and when the chunk
-/// timeline is also on each chunk lands in its worker's Perfetto lane.
-pub fn try_map_ranges_in<R, F>(
+pub fn map_ranges<R, F>(
     region: &str,
     threads: usize,
     ranges: &[Range<usize>],
@@ -441,88 +424,22 @@ where
     Ok(results)
 }
 
-/// Infallible [`try_map_ranges`]: re-raises a chunk's [`GuardError`] as a
-/// panic. Use the `try_` variant wherever an error channel exists.
-pub fn map_ranges<R, F>(threads: usize, ranges: &[Range<usize>], f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, Range<usize>) -> R + Sync,
-{
-    match try_map_ranges(threads, ranges, f) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Infallible [`try_map_ranges_in`]: re-raises a chunk's [`GuardError`] as a
-/// panic. Use the `try_` variant wherever an error channel exists.
-pub fn map_ranges_in<R, F>(region: &str, threads: usize, ranges: &[Range<usize>], f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, Range<usize>) -> R + Sync,
-{
-    match try_map_ranges_in(region, threads, ranges, f) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Applies `f` to every index in `0..n` on up to `threads` pool workers,
 /// returning results in index order, or the first failing index's
-/// [`GuardError`]. Convenience wrapper over [`try_map_ranges`] for
+/// [`GuardError`]. Convenience wrapper over [`map_ranges`] for
 /// coarse-grained tasks (e.g. independent k-means restarts).
-pub fn try_map_indices<R, F>(threads: usize, n: usize, f: F) -> Result<Vec<R>, GuardError>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    try_map_indices_in(UNNAMED_REGION, threads, n, f)
-}
-
-/// [`try_map_indices`] attributed to the named region (see
-/// [`try_map_ranges_in`]).
-pub fn try_map_indices_in<R, F>(
-    region: &str,
-    threads: usize,
-    n: usize,
-    f: F,
-) -> Result<Vec<R>, GuardError>
+pub fn map_indices<R, F>(region: &str, threads: usize, n: usize, f: F) -> Result<Vec<R>, GuardError>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     let ranges: Vec<Range<usize>> = (0..n).map(|i| i..i + 1).collect();
-    try_map_ranges_in(region, threads, &ranges, |i, _| f(i))
-}
-
-/// Infallible [`try_map_indices`]: re-raises a chunk's [`GuardError`] as a
-/// panic. Use the `try_` variant wherever an error channel exists.
-pub fn map_indices<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    match try_map_indices(threads, n, f) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Infallible [`try_map_indices_in`]: re-raises a chunk's [`GuardError`] as a
-/// panic. Use the `try_` variant wherever an error channel exists.
-pub fn map_indices_in<R, F>(region: &str, threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    match try_map_indices_in(region, threads, n, f) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
+    map_ranges(region, threads, &ranges, |i, _| f(i))
 }
 
 /// Runs `f` over disjoint mutable chunks of `data` on up to `threads` pool
-/// workers, chunks claimed dynamically.
+/// workers, chunks claimed dynamically through [`map_ranges`] (same region
+/// attribution, nesting and error semantics).
 ///
 /// `ranges` must be contiguous, in order, and cover `0..data.len()` exactly;
 /// `f(chunk_index, range, chunk)` receives the chunk's global index range so
@@ -538,22 +455,7 @@ where
 /// lowest-index failing chunk's [`GuardError`]; that chunk's slice may be
 /// partially written, but other chunks are unaffected and the process
 /// survives.
-pub fn try_for_each_chunk_mut<T, F>(
-    threads: usize,
-    data: &mut [T],
-    ranges: &[Range<usize>],
-    f: F,
-) -> Result<(), GuardError>
-where
-    T: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
-{
-    try_for_each_chunk_mut_in(UNNAMED_REGION, threads, data, ranges, f)
-}
-
-/// [`try_for_each_chunk_mut`] attributed to the named region (see
-/// [`try_map_ranges_in`]).
-pub fn try_for_each_chunk_mut_in<T, F>(
+pub fn for_each_chunk_mut<T, F>(
     region: &str,
     threads: usize,
     data: &mut [T],
@@ -570,160 +472,23 @@ where
         expected = r.end;
     }
     assert_eq!(expected, data.len(), "ranges must cover the whole slice");
-    let profiled = bootes_obs::enabled();
-    let timeline = bootes_obs::chunk_timeline();
-    let region_start = profiled.then(Instant::now);
-    let run = |i: usize, r: Range<usize>, chunk: &mut [T]| -> Result<(), GuardError> {
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            bootes_guard::fail_point("par.worker")?;
-            f(i, r, chunk);
-            Ok(())
-        }));
-        match caught {
-            Ok(res) => res,
-            Err(payload) => Err(GuardError::Panic {
-                site: "par.worker".to_string(),
-                message: bootes_guard::panic_message(payload.as_ref()),
-            }),
+    // Pre-split the slice so whichever worker claims chunk `i` takes
+    // exclusive ownership of its slice through the chunk's cell.
+    let mut cells: Vec<Mutex<Option<&mut [T]>>> = Vec::with_capacity(ranges.len());
+    let mut rest = data;
+    for r in ranges {
+        let (chunk, tail) = rest.split_at_mut(r.len());
+        rest = tail;
+        cells.push(Mutex::new(Some(chunk)));
+    }
+    map_ranges(region, threads, ranges, |i, r| {
+        let taken = cells[i].lock().unwrap_or_else(|p| p.into_inner()).take();
+        match taken {
+            Some(chunk) => f(i, r, chunk),
+            None => panic!("chunk {i} claimed twice"),
         }
-    };
-    let run_accounted = |i: usize,
-                         r: Range<usize>,
-                         chunk: &mut [T],
-                         stats: &mut WorkerStats|
-     -> Result<(), GuardError> {
-        stats.chunks += 1;
-        if !timeline {
-            return run(i, r, chunk);
-        }
-        let start_ns = bootes_obs::epoch_ns();
-        let started = Instant::now();
-        let weight = r.len() as u64;
-        let recorded = r.clone();
-        let res = run(i, r, chunk);
-        let dur_ns = started.elapsed().as_nanos() as u64;
-        stats.busy_ns += dur_ns;
-        bootes_obs::record_worker_chunk(region, i, recorded, weight, start_ns, dur_ns);
-        res
-    };
-    let workers = threads.min(ranges.len());
-    if workers <= 1 || pool::in_worker() {
-        let mut stats = WorkerStats::default();
-        let mut result = Ok(());
-        for (i, r) in ranges.iter().enumerate() {
-            result = run_accounted(i, r.clone(), &mut data[r.clone()], &mut stats);
-            if result.is_err() {
-                break;
-            }
-        }
-        if let Some(start) = region_start {
-            let wall_ns = start.elapsed().as_nanos() as u64;
-            if !timeline {
-                stats.busy_ns = wall_ns;
-            }
-            record_region(region, wall_ns, &[stats]);
-        }
-        return result;
-    }
-    // Pre-split the slice so dynamically-claiming workers can each take
-    // exclusive ownership of a chunk through its cell.
-    let mut chunk_cells: Vec<Mutex<Option<&mut [T]>>> = Vec::with_capacity(ranges.len());
-    {
-        let mut rest = data;
-        for r in ranges {
-            let (chunk, tail) = rest.split_at_mut(r.len());
-            rest = tail;
-            chunk_cells.push(Mutex::new(Some(chunk)));
-        }
-    }
-    let next = AtomicUsize::new(0);
-    type SlotOutput = Option<(Vec<(usize, Result<(), GuardError>)>, WorkerStats)>;
-    let cells: Vec<Mutex<SlotOutput>> = (0..workers).map(|_| Mutex::new(None)).collect();
-    {
-        let run_accounted = &run_accounted;
-        let slot_body = |slot: usize| {
-            let _span = bootes_obs::span!("par.worker");
-            let mut produced: Vec<(usize, Result<(), GuardError>)> = Vec::new();
-            let mut stats = WorkerStats::default();
-            let loop_start = profiled.then(Instant::now);
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= ranges.len() {
-                    break;
-                }
-                let taken = chunk_cells[i]
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .take();
-                let res = match taken {
-                    Some(chunk) => run_accounted(i, ranges[i].clone(), chunk, &mut stats),
-                    None => Err(GuardError::Panic {
-                        site: "par.worker".to_string(),
-                        message: format!("chunk {i} claimed twice"),
-                    }),
-                };
-                produced.push((i, res));
-            }
-            if let Some(start) = loop_start {
-                if !timeline {
-                    stats.busy_ns = start.elapsed().as_nanos() as u64;
-                }
-            }
-            *cells[slot].lock().unwrap_or_else(|p| p.into_inner()) = Some((produced, stats));
-        };
-        pool::run(workers, &slot_body);
-    }
-    let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(workers);
-    let mut first_err: Option<(usize, GuardError)> = None;
-    for cell in cells {
-        if let Some((produced, stats)) = cell.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            worker_stats.push(stats);
-            for (i, res) in produced {
-                if let Err(e) = res {
-                    if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_err = Some((i, e));
-                    }
-                }
-            }
-        }
-    }
-    if let Some(start) = region_start {
-        record_region(region, start.elapsed().as_nanos() as u64, &worker_stats);
-    }
-    match first_err {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
-    }
-}
-
-/// Infallible [`try_for_each_chunk_mut`]: re-raises a chunk's [`GuardError`]
-/// as a panic. Use the `try_` variant wherever an error channel exists.
-pub fn for_each_chunk_mut<T, F>(threads: usize, data: &mut [T], ranges: &[Range<usize>], f: F)
-where
-    T: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
-{
-    if let Err(e) = try_for_each_chunk_mut(threads, data, ranges, f) {
-        panic!("{e}");
-    }
-}
-
-/// Infallible [`try_for_each_chunk_mut_in`]: re-raises a chunk's
-/// [`GuardError`] as a panic. Use the `try_` variant wherever an error
-/// channel exists.
-pub fn for_each_chunk_mut_in<T, F>(
-    region: &str,
-    threads: usize,
-    data: &mut [T],
-    ranges: &[Range<usize>],
-    f: F,
-) where
-    T: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
-{
-    if let Err(e) = try_for_each_chunk_mut_in(region, threads, data, ranges, f) {
-        panic!("{e}");
-    }
+    })?;
+    Ok(())
 }
 
 /// Runs `fa` and `fb`, concurrently when `parallel` is true, and returns both
@@ -733,55 +498,27 @@ pub fn for_each_chunk_mut_in<T, F>(
 /// its halves routinely start pool regions of their own). If either side
 /// panics or trips the `par.worker` failpoint, the `a` side's error is
 /// reported first (deterministically), and the process survives.
-pub fn try_join<A, B, FA, FB>(parallel: bool, fa: FA, fb: FB) -> Result<(A, B), GuardError>
+pub fn join<A, B, FA, FB>(parallel: bool, fa: FA, fb: FB) -> Result<(A, B), GuardError>
 where
     A: Send,
     B: Send,
     FA: FnOnce() -> A + Send,
     FB: FnOnce() -> B + Send,
 {
-    fn run_side<T>(f: impl FnOnce() -> T) -> Result<T, GuardError> {
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            bootes_guard::fail_point("par.worker")?;
-            Ok(f())
-        }));
-        match caught {
-            Ok(res) => res,
-            Err(payload) => Err(GuardError::Panic {
-                site: "par.worker".to_string(),
-                message: bootes_guard::panic_message(payload.as_ref()),
-            }),
-        }
-    }
     if !parallel {
-        let a = run_side(fa)?;
-        let b = run_side(fb)?;
+        let a = guarded(fa)?;
+        let b = guarded(fb)?;
         return Ok((a, b));
     }
     std::thread::scope(|scope| {
         let ha = scope.spawn(move || {
             let _span = bootes_obs::span!("par.worker");
-            run_side(fa)
+            guarded(fa)
         });
-        let b = run_side(fb);
+        let b = guarded(fb);
         let a = ha.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
         Ok((a?, b?))
     })
-}
-
-/// Infallible [`try_join`]: re-raises either side's [`GuardError`] as a
-/// panic. Use the `try_` variant wherever an error channel exists.
-pub fn join<A, B, FA, FB>(parallel: bool, fa: FA, fb: FB) -> (A, B)
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-{
-    match try_join(parallel, fa, fb) {
-        Ok(ab) => ab,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 #[cfg(test)]
@@ -854,44 +591,60 @@ mod tests {
         assert_eq!(chunk_count(1000), 512);
     }
 
+    // Failpoints are process-global and every combinator reaches the
+    // `par.worker` site, so every test that runs a combinator serializes
+    // with the tests that arm it.
+    static FP_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn fp_serial() -> std::sync::MutexGuard<'static, ()> {
+        FP_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     #[test]
     fn map_ranges_merges_in_order() {
+        let _g = fp_serial();
         let ranges = partition_even(100, 7);
-        let serial = map_ranges(1, &ranges, |i, r| (i, r.start, r.end));
+        let serial = map_ranges("test", 1, &ranges, |i, r| (i, r.start, r.end)).unwrap();
         for t in [2usize, 3, 16] {
-            assert_eq!(map_ranges(t, &ranges, |i, r| (i, r.start, r.end)), serial);
+            let out = map_ranges("test", t, &ranges, |i, r| (i, r.start, r.end)).unwrap();
+            assert_eq!(out, serial);
         }
     }
 
     #[test]
     fn map_indices_is_identity_ordered() {
-        let out = map_indices(4, 9, |i| i * i);
+        let _g = fp_serial();
+        let out = map_indices("test", 4, 9, |i| i * i).unwrap();
         assert_eq!(out, (0..9).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn for_each_chunk_mut_writes_disjointly() {
+        let _g = fp_serial();
         let mut data = vec![0usize; 23];
         let ranges = partition_even(data.len(), 4);
-        for_each_chunk_mut(4, &mut data, &ranges, |_, range, chunk| {
+        for_each_chunk_mut("test", 4, &mut data, &ranges, |_, range, chunk| {
             for (off, v) in chunk.iter_mut().enumerate() {
                 *v = range.start + off;
             }
-        });
+        })
+        .unwrap();
         assert_eq!(data, (0..23).collect::<Vec<_>>());
     }
 
     #[test]
     fn for_each_chunk_mut_takes_more_chunks_than_workers() {
         // Oversubscribed chunking: 16 chunks on 3 workers.
+        let _g = fp_serial();
         let mut data = vec![0usize; 64];
         let ranges = partition_even(data.len(), 16);
         assert_eq!(ranges.len(), 16);
-        for_each_chunk_mut(3, &mut data, &ranges, |_, range, chunk| {
+        for_each_chunk_mut("test", 3, &mut data, &ranges, |_, range, chunk| {
             for (off, v) in chunk.iter_mut().enumerate() {
                 *v = range.start + off;
             }
-        });
+        })
+        .unwrap();
         assert_eq!(data, (0..64).collect::<Vec<_>>());
     }
 
@@ -899,13 +652,14 @@ mod tests {
     #[should_panic(expected = "tile the slice")]
     fn for_each_chunk_mut_rejects_gaps() {
         let mut data = vec![0usize; 4];
-        for_each_chunk_mut(2, &mut data, &[0..1, 2..4], |_, _, _| {});
+        let _ = for_each_chunk_mut("test", 2, &mut data, &[0..1, 2..4], |_, _, _| {});
     }
 
     #[test]
     fn join_runs_both_sides() {
+        let _g = fp_serial();
         for parallel in [false, true] {
-            let (a, b) = join(parallel, || 1 + 1, || "x".to_string() + "y");
+            let (a, b) = join(parallel, || 1 + 1, || "x".to_string() + "y").unwrap();
             assert_eq!((a, b.as_str()), (2, "xy"));
         }
     }
@@ -915,12 +669,14 @@ mod tests {
         // An outer pool region whose chunks each start an inner region: the
         // inner ones must run inline on the pool workers instead of
         // re-entering the pool (which could deadlock).
+        let _g = fp_serial();
         let ranges = partition_even(8, 4);
-        let out = map_ranges(4, &ranges, |_, r| {
+        let out = map_ranges("test", 4, &ranges, |_, r| {
             let inner = partition_even(6, 2);
-            let sums = map_ranges(2, &inner, |_, ir| ir.len());
+            let sums = map_ranges("test.inner", 2, &inner, |_, ir| ir.len()).unwrap();
             r.len() + sums.iter().sum::<usize>()
-        });
+        })
+        .unwrap();
         assert_eq!(out, vec![8, 8, 8, 8]);
     }
 
@@ -939,20 +695,13 @@ mod tests {
         assert!(threads() <= available());
     }
 
-    // Failpoints are process-global; serialize the tests that arm them.
-    static FP_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn fp_serial() -> std::sync::MutexGuard<'static, ()> {
-        FP_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     #[test]
-    fn try_map_ranges_converts_chunk_panic() {
+    fn map_ranges_converts_chunk_panic() {
         let _g = fp_serial();
         bootes_guard::clear_failpoints();
         let ranges = partition_even(10, 4);
         for t in [1usize, 4] {
-            let err = try_map_ranges(t, &ranges, |i, _| {
+            let err = map_ranges("test", t, &ranges, |i, _| {
                 if i == 2 {
                     panic!("boom in chunk 2");
                 }
@@ -970,26 +719,26 @@ mod tests {
     }
 
     #[test]
-    fn try_map_ranges_fires_worker_failpoint() {
+    fn map_ranges_fires_worker_failpoint() {
         let _g = fp_serial();
         bootes_guard::set_failpoints("par.worker=err@1").unwrap();
         let ranges = partition_even(10, 4);
-        let err = try_map_ranges(4, &ranges, |i, _| i).unwrap_err();
+        let err = map_ranges("test", 4, &ranges, |i, _| i).unwrap_err();
         assert!(matches!(err, GuardError::Injected { .. }), "{err:?}");
         bootes_guard::clear_failpoints();
         assert_eq!(
-            try_map_ranges(4, &ranges, |i, _| i).unwrap(),
+            map_ranges("test", 4, &ranges, |i, _| i).unwrap(),
             vec![0, 1, 2, 3]
         );
     }
 
     #[test]
-    fn try_for_each_chunk_mut_survives_chunk_panic() {
+    fn for_each_chunk_mut_survives_chunk_panic() {
         let _g = fp_serial();
         bootes_guard::clear_failpoints();
         let mut data = vec![0usize; 12];
         let ranges = partition_even(data.len(), 3);
-        let err = try_for_each_chunk_mut(3, &mut data, &ranges, |i, range, chunk| {
+        let err = for_each_chunk_mut("test", 3, &mut data, &ranges, |i, range, chunk| {
             if i == 1 {
                 panic!("chunk 1 dies");
             }
@@ -1022,14 +771,15 @@ mod tests {
         bootes_obs::set_chunk_timeline(true);
         bootes_obs::reset();
         let ranges = partition_even(64, 4);
-        let out = map_ranges_in("test.attr", 4, &ranges, |_, r| {
+        let out = map_ranges("test.attr", 4, &ranges, |_, r| {
             // Burn a little measurable time per chunk.
             let mut acc = 0u64;
             for i in r {
                 acc = acc.wrapping_add((i as u64).wrapping_mul(2_654_435_761));
             }
             acc
-        });
+        })
+        .unwrap();
         assert_eq!(out.len(), 4);
         let profile = bootes_obs::snapshot();
         let chunks = bootes_obs::worker_chunks();
@@ -1073,7 +823,7 @@ mod tests {
         bootes_obs::set_chunk_timeline(false);
         bootes_obs::reset();
         let ranges = partition_even(64, 8);
-        let out = map_ranges_in("test.notimeline", 4, &ranges, |i, _| i);
+        let out = map_ranges("test.notimeline", 4, &ranges, |i, _| i).unwrap();
         let profile = bootes_obs::snapshot();
         let chunks = bootes_obs::worker_chunks();
         bootes_obs::set_enabled(false);
@@ -1098,11 +848,12 @@ mod tests {
         bootes_obs::reset();
         let ranges = partition_even(16, 4);
         let mut data = vec![0u32; 16];
-        for_each_chunk_mut_in("test.serial", 1, &mut data, &ranges, |_, range, chunk| {
+        for_each_chunk_mut("test.serial", 1, &mut data, &ranges, |_, range, chunk| {
             for (off, v) in chunk.iter_mut().enumerate() {
                 *v = (range.start + off) as u32;
             }
-        });
+        })
+        .unwrap();
         let profile = bootes_obs::snapshot();
         bootes_obs::set_enabled(false);
         bootes_obs::reset();
@@ -1126,22 +877,22 @@ mod tests {
         bootes_obs::set_enabled(false);
         bootes_obs::reset();
         let ranges = partition_even(32, 4);
-        let _ = map_ranges_in("test.off", 4, &ranges, |i, _| i);
+        let _ = map_ranges("test.off", 4, &ranges, |i, _| i);
         assert!(bootes_obs::worker_chunks().is_empty());
         assert!(bootes_obs::snapshot().gauges.is_empty());
     }
 
     #[test]
-    fn try_join_reports_a_side_first() {
+    fn join_reports_a_side_first() {
         let _g = fp_serial();
         bootes_guard::clear_failpoints();
         for parallel in [false, true] {
-            let err = try_join::<i32, i32, _, _>(parallel, || panic!("left"), || 5).unwrap_err();
+            let err = join::<i32, i32, _, _>(parallel, || panic!("left"), || 5).unwrap_err();
             match err {
                 GuardError::Panic { message, .. } => assert!(message.contains("left")),
                 other => panic!("unexpected {other:?}"),
             }
         }
-        assert_eq!(try_join(true, || 1, || 2).unwrap(), (1, 2));
+        assert_eq!(join(true, || 1, || 2).unwrap(), (1, 2));
     }
 }

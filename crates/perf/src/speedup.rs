@@ -8,7 +8,8 @@
 //! count falls below a per-kernel floor (the PR-7 bug class — a 0.89×
 //! "speedup" at 4 threads — can then never land silently again).
 //!
-//! Two guards keep the gate honest rather than flaky:
+//! Two guards keep the gate honest rather than flaky, and one keeps it from
+//! being switched off by accident:
 //!
 //! - **Clamp awareness.** Rows measured under a clamped thread policy
 //!   (fewer hardware CPUs than the nominal thread count) are skipped with a
@@ -18,6 +19,10 @@
 //!   `serial_median / max(par_median − k·MAD, ε)`: the gate only fails when
 //!   even after crediting the parallel row its full noise band it still
 //!   misses the floor.
+//! - **Missing kernels fail.** A floor whose kernel has no `t=1`/`t=4` row
+//!   pair in a non-empty result file fails the gate: deleting or renaming a
+//!   floored kernel must not silently disable its floor. Only an empty file
+//!   (nothing benched at all) passes with a warning.
 
 use serde::{Deserialize, Serialize};
 
@@ -92,7 +97,7 @@ pub struct SpeedupVerdict {
     pub measured: f64,
     /// Noise-credited speedup actually compared against the floor.
     pub adjusted: f64,
-    /// Whether the kernel met its floor (skipped/missing rows pass).
+    /// Whether the kernel met its floor (clamped rows are skipped).
     pub passed: bool,
 }
 
@@ -101,9 +106,10 @@ pub struct SpeedupVerdict {
 pub struct SpeedupReport {
     /// One verdict per configured floor that was actually compared.
     pub verdicts: Vec<SpeedupVerdict>,
-    /// Floors that failed.
+    /// Floors that failed, including floors whose kernel has no rows.
     pub failures: usize,
-    /// Skipped floors (clamped hardware, missing rows) and other caveats.
+    /// Skipped floors (clamped hardware, empty result file), floored
+    /// kernels missing from the file, and other caveats.
     pub warnings: Vec<String>,
 }
 
@@ -135,9 +141,17 @@ pub fn check_speedup(rows: &[SpeedupRow], cfg: &SpeedupConfig) -> SpeedupReport 
             .iter()
             .find(|r| r.kernel == *kernel && r.threads == GATE_THREADS);
         let (Some(serial), Some(par)) = (serial, par) else {
-            report.warnings.push(format!(
-                "{kernel}: no t=1/t={GATE_THREADS} row pair in the result file — floor not checked"
-            ));
+            if rows.is_empty() {
+                report.warnings.push(format!(
+                    "{kernel}: the result file has no rows — floor not checked"
+                ));
+            } else {
+                report.failures += 1;
+                report.warnings.push(format!(
+                    "{kernel}: MISSING — no t=1/t={GATE_THREADS} row pair in the result file; \
+                     a floored kernel must be benched"
+                ));
+            }
             continue;
         };
         if !par.ran_unclamped() {
@@ -266,9 +280,24 @@ mod tests {
 
     #[test]
     fn missing_rows_warn_instead_of_failing() {
+        // An empty result file: nothing was benched, so nothing is gated.
         let report = check_speedup(&[], &SpeedupConfig::default());
         assert!(report.passed());
         assert_eq!(report.warnings.len(), 1);
+    }
+
+    #[test]
+    fn floored_kernel_absent_from_a_nonempty_file_fails() {
+        // Rows exist, but none for the floored kernel (e.g. it was deleted
+        // or renamed): the floor must fail, not silently switch off.
+        let rows = sweep("spmv", 100.0, 40.0);
+        let report = check_speedup(&rows, &SpeedupConfig::default());
+        assert!(!report.passed());
+        assert_eq!(report.failures, 1);
+        assert!(report.verdicts.is_empty());
+        let text = render_speedup(&report);
+        assert!(text.contains("spgemm.dense_acc: MISSING"), "{text}");
+        assert!(text.contains("FAIL"), "{text}");
     }
 
     #[test]

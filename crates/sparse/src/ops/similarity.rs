@@ -61,15 +61,20 @@ pub fn similarity_matrix_csc(a: &CsrMatrix, a_csc: &CscMatrix) -> CsrMatrix {
 /// Rows of `S` are independent, so they are computed in contiguous chunks
 /// (weighted by each row's column-degree work) and stitched in chunk order —
 /// bit-identical to the serial kernel for every thread count.
+///
+/// # Panics
+///
+/// Re-raises a chunk's panic or fired `par.worker` failpoint.
 pub fn par_similarity_matrix_csc(a: &CsrMatrix, a_csc: &CscMatrix, threads: usize) -> CsrMatrix {
     debug_assert_eq!(a.shape(), a_csc.shape(), "csc view shape mismatch");
     let _span = bootes_obs::span!("similarity.rows");
     let n = a.nrows();
     let row_work = |i: usize| -> u64 { a.row(i).0.iter().map(|&k| a_csc.col_nnz(k) as u64).sum() };
     let ranges = bootes_par::partition_weighted(n, bootes_par::chunk_count(threads), row_work);
-    let chunks = bootes_par::map_ranges_in("similarity.rows", threads, &ranges, |_, rows| {
+    let chunks = bootes_par::map_ranges("similarity.rows", threads, &ranges, |_, rows| {
         similarity_rows(a, a_csc, rows)
-    });
+    })
+    .unwrap_or_else(|e| panic!("{e}"));
 
     let nnz: usize = chunks.iter().map(|c| c.1.len()).sum();
     if bootes_obs::enabled() {

@@ -2,120 +2,20 @@
 //!
 //! The workhorse is the **row-wise product** (Gustavson's algorithm), the
 //! dataflow the paper identifies as the favorable one for sparse accelerators:
-//! `C[i,:] = Σ_{k ∈ cols(A_i)} A[i,k] · B[k,:]`. Three accumulator strategies
-//! are provided: a dense accumulator ([`spgemm`]), a hash-map accumulator
-//! ([`spgemm_hash`]) that avoids the `O(ncols)` scratch array for very wide
-//! `B`, and an adaptive kernel ([`spgemm_adaptive`]) that picks dense, hash,
-//! or sorted-merge **per row** from the upper-bounded row flop count (à la
-//! Nagasaka et al.'s KNL SpGEMM). All accumulators sum each output column's
-//! products in identical k-iteration encounter order and drop exact-`0.0`
-//! finals, so all three produce bit-identical results. Per-worker dense/hash
-//! scratch is reused across chunks through thread-local storage
-//! (`crate::scratch`) instead of being allocated and zeroed per chunk. The
-//! [`dataflow_costs`] analysis reproduces the inner/outer/row-wise
-//! trade-offs of Table 1.
+//! `C[i,:] = Σ_{k ∈ cols(A_i)} A[i,k] · B[k,:]`, computed with a dense
+//! accumulator ([`spgemm`], [`par_spgemm`]). No product path runs numeric
+//! SpGEMM (B traffic is counted symbolically by the simulator); the kernel is
+//! the reference the tests compare against and the parallel speedup gate's
+//! floored kernel. Per-worker dense scratch is reused across chunks through
+//! thread-local storage (`crate::scratch`) instead of being allocated and
+//! zeroed per chunk. The [`dataflow_costs`] analysis reproduces the
+//! inner/outer/row-wise trade-offs of Table 1.
 
-use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::scratch;
-
-/// Accumulator strategy used by the default [`spgemm`] entry point.
-///
-/// All three strategies produce **bit-identical** results (identical
-/// k-iteration encounter order, exact-`0.0` finals dropped); the selection
-/// only changes speed and scratch footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpgemmDataflow {
-    /// Dense `O(ncols)` accumulator for every row.
-    Dense,
-    /// Hash-map accumulator for every row.
-    Hash,
-    /// Per-row adaptive selection (sorted-merge / dense / hash by
-    /// upper-bounded row flops, à la Nagasaka et al.) — the default.
-    #[default]
-    Adaptive,
-}
-
-impl SpgemmDataflow {
-    /// The canonical CLI/env spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpgemmDataflow::Dense => "dense",
-            SpgemmDataflow::Hash => "hash",
-            SpgemmDataflow::Adaptive => "adaptive",
-        }
-    }
-}
-
-impl std::str::FromStr for SpgemmDataflow {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dense" => Ok(SpgemmDataflow::Dense),
-            "hash" => Ok(SpgemmDataflow::Hash),
-            "adaptive" => Ok(SpgemmDataflow::Adaptive),
-            other => Err(format!(
-                "unknown SpGEMM dataflow {other:?} (expected dense|hash|adaptive)"
-            )),
-        }
-    }
-}
-
-/// Process-global dataflow selection for [`spgemm`]. Encoding matches the
-/// enum discriminant order; `u8::MAX` means "not yet initialized from the
-/// environment".
-static DEFAULT_DATAFLOW: AtomicU8 = AtomicU8::new(u8::MAX);
-static DATAFLOW_ENV_INIT: OnceLock<()> = OnceLock::new();
-
-fn dataflow_from_u8(v: u8) -> SpgemmDataflow {
-    match v {
-        0 => SpgemmDataflow::Dense,
-        1 => SpgemmDataflow::Hash,
-        _ => SpgemmDataflow::Adaptive,
-    }
-}
-
-fn dataflow_to_u8(d: SpgemmDataflow) -> u8 {
-    match d {
-        SpgemmDataflow::Dense => 0,
-        SpgemmDataflow::Hash => 1,
-        SpgemmDataflow::Adaptive => 2,
-    }
-}
-
-/// Overrides the dataflow the default [`spgemm`] entry point routes to —
-/// the escape hatch behind the CLI's `--spgemm dense|hash|adaptive` flag.
-/// Results are bit-identical for every choice.
-pub fn set_spgemm_dataflow(dataflow: SpgemmDataflow) {
-    let _ = DATAFLOW_ENV_INIT.set(()); // explicit config overrides the env
-    DEFAULT_DATAFLOW.store(dataflow_to_u8(dataflow), Ordering::Relaxed);
-}
-
-/// The dataflow the default [`spgemm`] entry point currently routes to.
-/// Initialized once from `BOOTES_SPGEMM` (`dense|hash|adaptive`) on first
-/// use; defaults to [`SpgemmDataflow::Adaptive`].
-pub fn spgemm_dataflow() -> SpgemmDataflow {
-    DATAFLOW_ENV_INIT.get_or_init(|| {
-        if let Ok(spec) = std::env::var("BOOTES_SPGEMM") {
-            match spec.parse::<SpgemmDataflow>() {
-                Ok(d) => DEFAULT_DATAFLOW.store(dataflow_to_u8(d), Ordering::Relaxed),
-                Err(msg) => eprintln!("bootes-sparse: ignoring BOOTES_SPGEMM: {msg}"),
-            }
-        }
-    });
-    let v = DEFAULT_DATAFLOW.load(Ordering::Relaxed);
-    if v == u8::MAX {
-        SpgemmDataflow::default()
-    } else {
-        dataflow_from_u8(v)
-    }
-}
 
 fn check_dims(a: &CsrMatrix, b: &CsrMatrix) -> Result<(), SparseError> {
     if a.ncols() != b.nrows() {
@@ -240,83 +140,6 @@ fn dense_row(
     flops
 }
 
-/// One hash-accumulator Gustavson row (`acc`/`rowbuf` cleared on entry by
-/// the caller's loop); appends the sorted row to `indices`/`values` and
-/// returns the flop count.
-fn hash_row(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    i: usize,
-    acc: &mut HashMap<usize, f64>,
-    rowbuf: &mut Vec<(usize, f64)>,
-    indices: &mut Vec<usize>,
-    values: &mut Vec<f64>,
-) -> u64 {
-    let mut flops = 0u64;
-    acc.clear();
-    let (acols, avals) = a.row(i);
-    for (&k, &aik) in acols.iter().zip(avals) {
-        let (bcols, bvals) = b.row(k);
-        flops += bcols.len() as u64;
-        for (&j, &bkj) in bcols.iter().zip(bvals) {
-            *acc.entry(j).or_insert(0.0) += aik * bkj;
-        }
-    }
-    rowbuf.clear();
-    rowbuf.extend(
-        acc.iter()
-            .filter(|(_, v)| **v != 0.0)
-            .map(|(&j, &v)| (j, v)),
-    );
-    rowbuf.sort_unstable_by_key(|&(j, _)| j);
-    for &(j, v) in rowbuf.iter() {
-        indices.push(j);
-        values.push(v);
-    }
-    flops
-}
-
-/// One sorted-merge Gustavson row for tiny rows: gather every `(j, aik·bkj)`
-/// product in k-encounter order, stable-sort by `j` (preserving the
-/// encounter order of equal columns, so the per-column summation order —
-/// and hence the bits — match the dense and hash accumulators), and fold
-/// runs. Appends to `indices`/`values` and returns the flop count.
-fn merge_row(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    i: usize,
-    pairs: &mut Vec<(usize, f64)>,
-    indices: &mut Vec<usize>,
-    values: &mut Vec<f64>,
-) -> u64 {
-    let mut flops = 0u64;
-    pairs.clear();
-    let (acols, avals) = a.row(i);
-    for (&k, &aik) in acols.iter().zip(avals) {
-        let (bcols, bvals) = b.row(k);
-        flops += bcols.len() as u64;
-        for (&j, &bkj) in bcols.iter().zip(bvals) {
-            pairs.push((j, aik * bkj));
-        }
-    }
-    // Stable: equal-j products stay in encounter order.
-    pairs.sort_by_key(|&(j, _)| j);
-    let mut idx = 0usize;
-    while idx < pairs.len() {
-        let j = pairs[idx].0;
-        let mut sum = 0.0f64;
-        while idx < pairs.len() && pairs[idx].0 == j {
-            sum += pairs[idx].1;
-            idx += 1;
-        }
-        if sum != 0.0 {
-            indices.push(j);
-            values.push(sum);
-        }
-    }
-    flops
-}
-
 /// The dense-accumulator Gustavson kernel over one contiguous row block,
 /// accumulating into the calling worker's reusable thread-local scratch.
 fn spgemm_rows_dense(a: &CsrMatrix, b: &CsrMatrix, rows: Range<usize>) -> RowChunk {
@@ -340,93 +163,10 @@ fn spgemm_rows_dense(a: &CsrMatrix, b: &CsrMatrix, rows: Range<usize>) -> RowChu
     })
 }
 
-/// The hash-accumulator Gustavson kernel over one contiguous row block,
-/// reusing the calling worker's thread-local hash scratch.
-fn spgemm_rows_hash(a: &CsrMatrix, b: &CsrMatrix, rows: Range<usize>) -> RowChunk {
-    scratch::with_hash_f64(|acc, rowbuf| {
-        let mut row_lens = Vec::with_capacity(rows.len());
-        let mut indices: Vec<usize> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
-        let mut flops = 0u64;
-        for i in rows.clone() {
-            let row_start = indices.len();
-            flops += hash_row(a, b, i, acc, rowbuf, &mut indices, &mut values);
-            row_lens.push(indices.len() - row_start);
-        }
-        RowChunk {
-            row_lens,
-            indices,
-            values,
-            flops,
-        }
-    })
-}
-
-/// A merge row is cheaper than dense/hash bookkeeping up to this many
-/// gathered products.
-const MERGE_MAX_FLOPS: u64 = 32;
-
-/// Below this width the dense accumulator always wins (the scratch prefix
-/// fits comfortably in cache, and it is reused across the whole chunk).
-const DENSE_ALWAYS_COLS: usize = 4096;
-
-/// The adaptive Gustavson kernel: selects merge, dense, or hash per row by
-/// the upper-bounded row flop count `ub_i = Σ_{k ∈ cols(A_i)} nnz(B_k)`
-/// (which bounds both the products gathered and the output row width):
-///
-/// - `ub ≤ 32` → **sorted-merge** (tiny rows: no accumulator state at all),
-/// - dense width ≤ 4096 or `ub ≥ ncols/64` → **dense** (scratch prefix is
-///   cache-resident or the row is dense enough to amortize the gather scan),
-/// - otherwise → **hash** (long sparse rows over a very wide `B`).
-///
-/// Returns the per-variant row counts `[dense, hash, merge]` alongside the
-/// chunk for the `spgemm.acc_choice` observability counters.
-fn spgemm_rows_adaptive(a: &CsrMatrix, b: &CsrMatrix, rows: Range<usize>) -> (RowChunk, [u64; 3]) {
-    let n = b.ncols();
-    scratch::with_dense_f64(n, |acc, touched| {
-        scratch::with_hash_f64(|hacc, rowbuf| {
-            let mut row_lens = Vec::with_capacity(rows.len());
-            let mut indices: Vec<usize> = Vec::new();
-            let mut values: Vec<f64> = Vec::new();
-            let mut flops = 0u64;
-            let mut choices = [0u64; 3];
-            let mut pairs: Vec<(usize, f64)> = Vec::new();
-            for i in rows.clone() {
-                let row_start = indices.len();
-                let ub: u64 = a.row(i).0.iter().map(|&k| b.row_nnz(k) as u64).sum();
-                if ub <= MERGE_MAX_FLOPS {
-                    choices[2] += 1;
-                    flops += merge_row(a, b, i, &mut pairs, &mut indices, &mut values);
-                } else if n <= DENSE_ALWAYS_COLS || ub >= (n as u64 >> 6) {
-                    choices[0] += 1;
-                    flops += dense_row(a, b, i, acc, touched, &mut indices, &mut values);
-                } else {
-                    choices[1] += 1;
-                    flops += hash_row(a, b, i, hacc, rowbuf, &mut indices, &mut values);
-                }
-                row_lens.push(indices.len() - row_start);
-            }
-            (
-                RowChunk {
-                    row_lens,
-                    indices,
-                    values,
-                    flops,
-                },
-                choices,
-            )
-        })
-    })
-}
-
-/// Row-wise (Gustavson) SpGEMM — the default entry point.
-///
-/// Routes to the process-global [`SpgemmDataflow`] selection (default
-/// [`SpgemmDataflow::Adaptive`]; override via [`set_spgemm_dataflow`], the
-/// CLI's `--spgemm dense|hash|adaptive` flag, or the `BOOTES_SPGEMM` env
-/// var). Every dataflow produces bit-identical output: products are summed
-/// in identical k-iteration encounter order, columns are gathered sorted,
-/// and entries that cancel to exactly `0.0` are dropped.
+/// Row-wise (Gustavson) SpGEMM with a dense accumulator, on the global
+/// [`bootes_par::threads`] policy (serial for small operands). Products are
+/// summed in k-iteration encounter order, columns are gathered sorted, and
+/// entries that cancel to exactly `0.0` are dropped.
 ///
 /// # Errors
 ///
@@ -445,12 +185,7 @@ fn spgemm_rows_adaptive(a: &CsrMatrix, b: &CsrMatrix, rows: Range<usize>) -> (Ro
 /// # }
 /// ```
 pub fn spgemm(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
-    let threads = kernel_threads(a.nnz());
-    match spgemm_dataflow() {
-        SpgemmDataflow::Dense => par_spgemm(a, b, threads),
-        SpgemmDataflow::Hash => par_spgemm_hash(a, b, threads),
-        SpgemmDataflow::Adaptive => par_spgemm_adaptive(a, b, threads),
-    }
+    par_spgemm(a, b, kernel_threads(a.nnz()))
 }
 
 /// [`spgemm`] over an explicit number of worker threads.
@@ -462,114 +197,18 @@ pub fn spgemm(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::DimensionMismatch`] if `a.ncols() != b.nrows()`.
+/// Returns [`SparseError::DimensionMismatch`] if `a.ncols() != b.nrows()`,
+/// or [`SparseError::Guard`] if a chunk panicked or an armed `par.worker`
+/// failpoint fired.
 pub fn par_spgemm(a: &CsrMatrix, b: &CsrMatrix, threads: usize) -> Result<CsrMatrix, SparseError> {
     check_dims(a, b)?;
     let _span = bootes_obs::span!("spgemm.dense_acc");
     let ranges = flop_weighted_rows(a, b, bootes_par::chunk_count(threads));
-    let chunks = bootes_par::map_ranges_in("spgemm.dense_acc", threads, &ranges, |_, rows| {
+    let chunks = bootes_par::map_ranges("spgemm.dense_acc", threads, &ranges, |_, rows| {
         spgemm_rows_dense(a, b, rows)
-    });
+    })?;
     Ok(stitch_chunks(
         "spgemm.dense_acc",
-        a.nnz(),
-        a.nrows(),
-        b.ncols(),
-        chunks,
-    ))
-}
-
-/// Row-wise SpGEMM with a hash-map accumulator.
-///
-/// Same result as [`spgemm`] but with per-row `O(nnz(C_i))` scratch instead
-/// of `O(ncols(B))`. Preferable when `B` is very wide and rows of `C` are
-/// short.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.ncols() != b.nrows()`.
-pub fn spgemm_hash(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
-    par_spgemm_hash(a, b, kernel_threads(a.nnz()))
-}
-
-/// [`spgemm_hash`] over an explicit number of worker threads (chunked and
-/// stitched exactly like [`par_spgemm`]; bit-identical to serial).
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.ncols() != b.nrows()`.
-pub fn par_spgemm_hash(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    threads: usize,
-) -> Result<CsrMatrix, SparseError> {
-    check_dims(a, b)?;
-    let _span = bootes_obs::span!("spgemm.hash_acc");
-    let ranges = flop_weighted_rows(a, b, bootes_par::chunk_count(threads));
-    let chunks = bootes_par::map_ranges_in("spgemm.hash_acc", threads, &ranges, |_, rows| {
-        spgemm_rows_hash(a, b, rows)
-    });
-    Ok(stitch_chunks(
-        "spgemm.hash_acc",
-        a.nnz(),
-        a.nrows(),
-        b.ncols(),
-        chunks,
-    ))
-}
-
-/// Row-wise SpGEMM with **adaptive per-row accumulator selection**: each row
-/// is routed to the sorted-merge, dense, or hash accumulator by its
-/// upper-bounded flop count (see [`spgemm_rows_adaptive`] internals for the
-/// policy). All three accumulators sum every output column's products in
-/// identical k-iteration encounter order, so the result is bit-identical to
-/// [`spgemm`] and [`spgemm_hash`] — the selection only changes speed.
-///
-/// Rows routed per variant are published on the
-/// `spgemm.acc_choice{acc=dense|hash|merge}` counters while profiling is
-/// enabled.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.ncols() != b.nrows()`.
-pub fn spgemm_adaptive(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
-    par_spgemm_adaptive(a, b, kernel_threads(a.nnz()))
-}
-
-/// [`spgemm_adaptive`] over an explicit number of worker threads (chunked
-/// and stitched exactly like [`par_spgemm`]; bit-identical to serial).
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.ncols() != b.nrows()`.
-pub fn par_spgemm_adaptive(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    threads: usize,
-) -> Result<CsrMatrix, SparseError> {
-    check_dims(a, b)?;
-    let _span = bootes_obs::span!("spgemm.adaptive");
-    let ranges = flop_weighted_rows(a, b, bootes_par::chunk_count(threads));
-    let outputs = bootes_par::map_ranges_in("spgemm.adaptive", threads, &ranges, |_, rows| {
-        spgemm_rows_adaptive(a, b, rows)
-    });
-    let mut chunks = Vec::with_capacity(outputs.len());
-    let mut choices = [0u64; 3];
-    for (chunk, counts) in outputs {
-        chunks.push(chunk);
-        for (total, c) in choices.iter_mut().zip(counts) {
-            *total += c;
-        }
-    }
-    if bootes_obs::enabled() {
-        for (label, count) in ["dense", "hash", "merge"].iter().zip(choices) {
-            if count > 0 {
-                bootes_obs::counter_add(&format!("spgemm.acc_choice{{acc={label}}}"), count);
-            }
-        }
-    }
-    Ok(stitch_chunks(
-        "spgemm.adaptive",
         a.nnz(),
         a.nrows(),
         b.ncols(),
@@ -702,7 +341,6 @@ mod tests {
     fn identity_times_identity() {
         let i = CsrMatrix::identity(4);
         assert_eq!(spgemm(&i, &i).unwrap(), i);
-        assert_eq!(spgemm_hash(&i, &i).unwrap(), i);
     }
 
     #[test]
@@ -717,82 +355,16 @@ mod tests {
     }
 
     #[test]
-    fn hash_matches_dense_accumulator() {
-        for seed in 0..8 {
-            let a = random_like(10, 20, seed);
-            let b = random_like(20, 15, seed + 7);
-            assert_eq!(
-                spgemm(&a, &b).unwrap(),
-                spgemm_hash(&a, &b).unwrap(),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
     fn par_variants_match_serial_exactly() {
         for seed in 0..4 {
             let a = random_like(33, 29, seed);
             let b = random_like(29, 41, seed + 50);
             let serial = par_spgemm(&a, &b, 1).unwrap();
-            let serial_hash = par_spgemm_hash(&a, &b, 1).unwrap();
             for threads in [2usize, 3, 7] {
                 assert_eq!(par_spgemm(&a, &b, threads).unwrap(), serial);
-                assert_eq!(par_spgemm_hash(&a, &b, threads).unwrap(), serial_hash);
-                assert_eq!(par_spgemm_adaptive(&a, &b, threads).unwrap(), serial);
             }
             assert_eq!(spgemm(&a, &b).unwrap(), serial);
-            assert_eq!(spgemm_hash(&a, &b).unwrap(), serial_hash);
-            assert_eq!(spgemm_adaptive(&a, &b).unwrap(), serial);
         }
-    }
-
-    #[test]
-    fn adaptive_is_bit_identical_across_all_variants() {
-        // Mixed-shape operands so all three accumulator routes fire: wide B
-        // (hash territory), short rows (merge), and a dense block (dense).
-        for seed in 0..6 {
-            let a = random_like(40, 30, seed);
-            let b = random_like(30, 25, seed + 11);
-            let dense = spgemm(&a, &b).unwrap();
-            let hash = spgemm_hash(&a, &b).unwrap();
-            let adaptive = spgemm_adaptive(&a, &b).unwrap();
-            assert_eq!(dense, hash, "seed {seed}");
-            assert_eq!(dense, adaptive, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn adaptive_records_acc_choice_counters() {
-        let a = random_like(40, 30, 9);
-        let b = random_like(30, 25, 21);
-        bootes_obs::set_enabled(true);
-        bootes_obs::reset();
-        let _ = spgemm_adaptive(&a, &b).unwrap();
-        let profile = bootes_obs::snapshot();
-        bootes_obs::set_enabled(false);
-        bootes_obs::reset();
-        let routed: u64 = profile
-            .counters
-            .iter()
-            .filter(|c| c.name.starts_with("spgemm.acc_choice{"))
-            .map(|c| c.value)
-            .sum();
-        // ">=" rather than "==": the obs registry is process-global, so a
-        // concurrently running adaptive test may add to the same counters.
-        assert!(
-            routed >= a.nrows() as u64,
-            "every row routed exactly once (got {routed})"
-        );
-    }
-
-    #[test]
-    fn adaptive_cancellation_drops_entries() {
-        // Tiny rows route through the merge accumulator, which must drop
-        // exact-0.0 sums just like dense/hash do.
-        let a = CsrMatrix::try_new(1, 2, vec![0, 2], vec![0, 1], vec![1.0, 1.0]).unwrap();
-        let b = CsrMatrix::try_new(2, 1, vec![0, 1, 2], vec![0, 0], vec![1.0, -1.0]).unwrap();
-        assert_eq!(spgemm_adaptive(&a, &b).unwrap().nnz(), 0);
     }
 
     #[test]
@@ -810,7 +382,6 @@ mod tests {
         let a = CsrMatrix::zeros(2, 3);
         let b = CsrMatrix::zeros(2, 3);
         assert!(spgemm(&a, &b).is_err());
-        assert!(spgemm_hash(&a, &b).is_err());
         assert!(spgemm_flops(&a, &b).is_err());
         assert!(dataflow_costs(&a, &b).is_err());
     }
@@ -821,7 +392,6 @@ mod tests {
         let a = CsrMatrix::try_new(1, 2, vec![0, 2], vec![0, 1], vec![1.0, 1.0]).unwrap();
         let b = CsrMatrix::try_new(2, 1, vec![0, 1, 2], vec![0, 0], vec![1.0, -1.0]).unwrap();
         assert_eq!(spgemm(&a, &b).unwrap().nnz(), 0);
-        assert_eq!(spgemm_hash(&a, &b).unwrap().nnz(), 0);
     }
 
     #[test]

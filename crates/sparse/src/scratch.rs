@@ -1,8 +1,8 @@
 //! Per-thread reusable kernel scratch.
 //!
-//! The Gustavson kernels need an `O(ncols)` dense accumulator (or a hash
-//! map) per worker. Allocating and zeroing it per *chunk* — the pre-PR-7
-//! behavior — made total work grow with the chunk count, which is exactly
+//! The Gustavson kernels need an `O(ncols)` dense accumulator per worker.
+//! Allocating and zeroing it per *chunk* — the pre-PR-7 behavior — made
+//! total work grow with the chunk count, which is exactly
 //! how the parallel SpGEMM ended up slower than serial. Workers are now
 //! persistent pool threads, so the scratch lives in thread-local storage:
 //! each worker zeroes its dense buffer once, and every row/chunk afterwards
@@ -23,7 +23,6 @@
 //! aliasing the thread's scratch.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// Dense accumulator + touched-list, generic over the accumulator scalar.
 struct DenseScratch<T> {
@@ -58,9 +57,6 @@ impl<T: Copy + Default> DenseScratch<T> {
 thread_local! {
     static DENSE_F64: RefCell<DenseScratch<f64>> = const { RefCell::new(DenseScratch::new()) };
     static DENSE_U32: RefCell<DenseScratch<u32>> = const { RefCell::new(DenseScratch::new()) };
-    #[allow(clippy::type_complexity)]
-    static HASH_F64: RefCell<(HashMap<usize, f64>, Vec<(usize, f64)>)> =
-        RefCell::new((HashMap::new(), Vec::new()));
 }
 
 macro_rules! with_dense_impl {
@@ -99,24 +95,6 @@ pub(crate) fn with_dense_f64<R>(n: usize, f: impl FnOnce(&mut [f64], &mut Vec<us
 /// [`with_dense_f64`].
 pub(crate) fn with_dense_u32<R>(n: usize, f: impl FnOnce(&mut [u32], &mut Vec<usize>) -> R) -> R {
     with_dense_impl!(DENSE_U32, 0u32, n, f)
-}
-
-/// Runs `f` with this thread's reusable hash accumulator and sorted-gather
-/// row buffer. Both are handed out empty (cleared at entry, so a panicked
-/// predecessor can't leak state) with whatever capacity earlier chunks
-/// built up.
-pub(crate) fn with_hash_f64<R>(
-    f: impl FnOnce(&mut HashMap<usize, f64>, &mut Vec<(usize, f64)>) -> R,
-) -> R {
-    HASH_F64.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut borrow) => {
-            let (map, rowbuf) = &mut *borrow;
-            map.clear();
-            rowbuf.clear();
-            f(map, rowbuf)
-        }
-        Err(_) => f(&mut HashMap::new(), &mut Vec::new()),
-    })
 }
 
 #[cfg(test)]
@@ -175,19 +153,6 @@ mod tests {
         with_dense_u32(100, |buf, _| {
             assert!(buf.len() == 100);
             assert!(buf.iter().all(|&v| v == 0));
-        });
-    }
-
-    #[test]
-    fn hash_scratch_starts_empty_keeps_capacity() {
-        with_hash_f64(|map, rowbuf| {
-            map.insert(9, 1.5);
-            rowbuf.push((9, 1.5));
-        });
-        with_hash_f64(|map, rowbuf| {
-            assert!(map.is_empty());
-            assert!(rowbuf.is_empty());
-            assert!(map.capacity() > 0, "capacity survives across uses");
         });
     }
 }

@@ -33,15 +33,18 @@
 //! - `--threads N` — worker threads for the parallel kernels (default: all
 //!   cores; `BOOTES_THREADS=N` in the environment works too). Results are
 //!   bit-identical for any thread count,
-//! - `--cache-dir DIR` / `--cache-mem-mb MB` / `--cache-warm-start` /
-//!   `--no-cache` — the content-addressed preprocessing artifact cache
-//!   (permutations, Ritz pairs and model verdicts keyed on the sparsity
-//!   pattern; on by default as a memory-only store),
+//! - `--cache-dir DIR` / `--cache-mem-mb MB` / `--no-cache` — the
+//!   content-addressed preprocessing artifact cache (permutations, Ritz
+//!   pairs and model verdicts keyed on the sparsity pattern; on by default
+//!   as a memory-only store),
 //! - `--profile` — enable span/metric collection and print a profile table to
 //!   stderr on exit (equivalently, set `BOOTES_PROFILE=1`),
 //! - `--profile-out FILE.json` — also write the profile as JSON,
 //! - `--trace-out FILE.json` — also write a Chrome trace-event file, viewable
 //!   in `chrome://tracing` or <https://ui.perfetto.dev>.
+//!
+//! A subcommand rejects any flag it does not accept, so a typo or a removed
+//! flag fails loudly instead of being ignored.
 //!
 //! Examples:
 //!
@@ -52,6 +55,7 @@
 //! ```
 
 use std::io::BufReader;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 use bootes::accel::{configs, simulate_spgemm, AcceleratorConfig};
@@ -132,13 +136,7 @@ global flags (any subcommand):
                           pairs, model verdicts) in DIR and reuse them across
                           runs on matrices with a recurring sparsity pattern
   --cache-mem-mb MB       in-memory artifact cache ceiling (default: 256)
-  --cache-warm-start      seed eigensolves from cached same-pattern Ritz pairs
-                          (faster on near-identical inputs; not bit-stable)
   --no-cache              disable the artifact cache entirely
-  --spgemm DATAFLOW       SpGEMM accumulator dataflow: dense | hash |
-                          adaptive (default: adaptive; BOOTES_SPGEMM=... in
-                          the environment also works; output is bit-identical
-                          for every choice)
   --no-fallback           disable the graceful-degradation chain: a failed or
                           over-budget spectral reorder becomes a hard error
   --drift-threshold F     rows-changed fraction above which a cached donor
@@ -150,7 +148,8 @@ global flags (any subcommand):
   --profile               collect spans/metrics, print profile table to stderr
   --profile-out FILE.json write the profile as JSON
   --trace-out FILE.json   write a Chrome trace-event file
-  (BOOTES_PROFILE=1 in the environment also enables profiling;
+  (any other flag a subcommand does not list above is an error;
+   BOOTES_PROFILE=1 in the environment also enables profiling;
    BOOTES_FAILPOINTS=\"site=err@N,...\" injects deterministic faults)";
 
 /// The global flags (`--profile`, `--threads`, the guard budgets,
@@ -177,7 +176,6 @@ impl ProfileOpts {
         let mut use_cache = true;
         let mut cache_dir: Option<String> = None;
         let mut cache_mem_mb: u64 = 256;
-        let mut cache_warm = false;
         let mut budget = bootes::guard::Budget::unlimited();
         let mut i = 0;
         while i < args.len() {
@@ -199,91 +197,27 @@ impl ProfileOpts {
                     args.remove(i);
                 }
                 "--drift-threshold" => {
-                    args.remove(i);
-                    if i >= args.len() {
-                        return Err("--drift-threshold needs a value argument".to_string());
-                    }
-                    let value = args.remove(i);
-                    let t: f64 = value
-                        .parse()
-                        .map_err(|e| format!("bad --drift-threshold value {value:?}: {e}"))?;
+                    let t: f64 = take_value(&mut args, i)?;
                     if !(0.0..=1.0).contains(&t) {
                         return Err(format!("--drift-threshold {t} outside [0, 1]"));
                     }
                     drift_threshold = Some(t);
                 }
-                "--cache-warm-start" => {
-                    cache_warm = true;
-                    args.remove(i);
-                }
-                "--cache-dir" => {
-                    args.remove(i);
-                    if i >= args.len() {
-                        return Err("--cache-dir needs a directory argument".to_string());
-                    }
-                    cache_dir = Some(args.remove(i));
-                }
+                "--cache-dir" => cache_dir = Some(take_value(&mut args, i)?),
                 "--cache-mem-mb" => {
-                    args.remove(i);
-                    if i >= args.len() {
-                        return Err("--cache-mem-mb needs a value argument".to_string());
-                    }
-                    let value = args.remove(i);
-                    cache_mem_mb = value
-                        .parse()
-                        .map_err(|e| format!("bad --cache-mem-mb value {value:?}: {e}"))?;
+                    cache_mem_mb = take_value(&mut args, i)?;
                 }
-                "--time-budget-ms" | "--mem-budget-mb" => {
-                    let flag = args.remove(i);
-                    if i >= args.len() {
-                        return Err(format!("{flag} needs a value argument"));
-                    }
-                    let value = args.remove(i);
-                    let n: u64 = value
-                        .parse()
-                        .map_err(|e| format!("bad {flag} value {value:?}: {e}"))?;
-                    budget = if flag == "--time-budget-ms" {
-                        budget.with_time_ms(n)
-                    } else {
-                        budget.with_bytes(n.saturating_mul(1024 * 1024))
-                    };
-                }
-                "--spgemm" => {
-                    args.remove(i);
-                    if i >= args.len() {
-                        return Err("--spgemm needs a dataflow argument".to_string());
-                    }
-                    let value = args.remove(i);
-                    let dataflow = value
-                        .parse()
-                        .map_err(|e| format!("bad --spgemm value: {e}"))?;
-                    bootes::sparse::ops::set_spgemm_dataflow(dataflow);
+                "--time-budget-ms" => budget = budget.with_time_ms(take_value(&mut args, i)?),
+                "--mem-budget-mb" => {
+                    let mb: u64 = take_value(&mut args, i)?;
+                    budget = budget.with_bytes(mb.saturating_mul(1024 * 1024));
                 }
                 "--threads" => {
-                    args.remove(i);
-                    if i >= args.len() {
-                        return Err("--threads needs a count argument".to_string());
-                    }
-                    let value = args.remove(i);
-                    let n: usize = value
-                        .parse()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("bad --threads value {value:?}"))?;
-                    bootes::par::set_threads(n);
+                    let n: NonZeroUsize = take_value(&mut args, i)?;
+                    bootes::par::set_threads(n.get());
                 }
-                "--profile-out" | "--trace-out" => {
-                    let flag = args.remove(i);
-                    if i >= args.len() {
-                        return Err(format!("{flag} needs a file argument"));
-                    }
-                    let path = args.remove(i);
-                    if flag == "--profile-out" {
-                        profile_out = Some(path);
-                    } else {
-                        trace_out = Some(path);
-                    }
-                }
+                "--profile-out" => profile_out = Some(take_value(&mut args, i)?),
+                "--trace-out" => trace_out = Some(take_value(&mut args, i)?),
                 _ => i += 1,
             }
         }
@@ -300,8 +234,7 @@ impl ProfileOpts {
         enabled |= bootes::obs::init_from_env();
         if use_cache {
             let mut cfg =
-                bootes::cache::CacheConfig::memory_only(cache_mem_mb.saturating_mul(1024 * 1024))
-                    .with_warm_start(cache_warm);
+                bootes::cache::CacheConfig::memory_only(cache_mem_mb.saturating_mul(1024 * 1024));
             if let Some(dir) = cache_dir {
                 cfg = cfg.with_dir(dir);
             }
@@ -362,11 +295,61 @@ impl ProfileOpts {
     }
 }
 
+/// Rejects any `-`/`--` argument of subcommand `cmd` that is neither one
+/// of its `valued` flags (which consume the next argument) nor one of its
+/// `switches`.
+fn check_flags(
+    cmd: &str,
+    args: &[String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if valued.contains(&a.as_str()) {
+            it.next();
+        } else if a.len() > 1 && a.starts_with('-') && !switches.contains(&a.as_str()) {
+            return Err(format!("{cmd}: unknown flag {a:?}"));
+        }
+    }
+    Ok(())
+}
+
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+/// Removes the global flag at `args[i]` together with its value argument,
+/// returning the parsed value.
+fn take_value<T: std::str::FromStr>(args: &mut Vec<String>, i: usize) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let name = args.remove(i);
+    if i >= args.len() {
+        return Err(format!("{name} needs a value argument"));
+    }
+    parse_value(&name, &args.remove(i))
+}
+
+fn parse_value<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value
+        .parse()
+        .map_err(|e| format!("bad {name} value {value:?}: {e}"))
+}
+
+/// The parsed value of flag `name`, if present.
+fn parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    flag(args, name).map(|v| parse_value(name, &v)).transpose()
 }
 
 fn load(path: &str) -> Result<CsrMatrix, String> {
@@ -382,10 +365,8 @@ fn accel_from(args: &[String]) -> Result<AcceleratorConfig, String> {
         "trapezoid" => configs::trapezoid(),
         other => return Err(format!("unknown accelerator {other:?}")),
     };
-    if let Some(cache) = flag(args, "--cache") {
-        cfg.cache_bytes = cache
-            .parse()
-            .map_err(|e| format!("bad --cache value {cache:?}: {e}"))?;
+    if let Some(bytes) = parsed(args, "--cache")? {
+        cfg.cache_bytes = bytes;
     }
     cfg.validate().map_err(|e| e.to_string())?;
     Ok(cfg)
@@ -414,16 +395,14 @@ fn run(args: &[String], prof: &ProfileOpts) -> Result<(), String> {
 }
 
 fn cmd_reorder(args: &[String], no_fallback: bool) -> Result<(), String> {
+    check_flags("reorder", args, &["-o", "--algo", "--k"], &[])?;
     let input = args
         .first()
         .filter(|a| !a.starts_with('-'))
         .ok_or("reorder needs an input file")?;
     let a = load(input)?;
     let algo_name = flag(args, "--algo").unwrap_or_else(|| "bootes".to_string());
-    let k: usize = match flag(args, "--k") {
-        Some(v) => v.parse().map_err(|e| format!("bad --k {v:?}: {e}"))?,
-        None => 8,
-    };
+    let k = parsed(args, "--k")?.unwrap_or(8);
     let algo = reorderer_from(&algo_name, k, no_fallback)?;
     let out = algo.reorder(&a).map_err(|e| e.to_string())?;
     if let (Some(from), Some(reason)) = (&out.stats.degraded_from, &out.stats.degrade_reason) {
@@ -465,6 +444,7 @@ fn reorderer_from(name: &str, k: usize, no_fallback: bool) -> Result<Box<dyn Reo
 }
 
 fn cmd_features(args: &[String]) -> Result<(), String> {
+    check_flags("features", args, &[], &[])?;
     let input = args.first().ok_or("features needs an input file")?;
     let a = load(input)?;
     let f = MatrixFeatures::extract(&a).to_vec();
@@ -475,6 +455,12 @@ fn cmd_features(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_simulate(args: &[String], no_fallback: bool) -> Result<(), String> {
+    check_flags(
+        "simulate",
+        args,
+        &["--accel", "--cache", "--reorder", "--k"],
+        &[],
+    )?;
     let input = args
         .first()
         .filter(|a| !a.starts_with('-'))
@@ -487,10 +473,7 @@ fn cmd_simulate(args: &[String], no_fallback: bool) -> Result<(), String> {
     let reorderer = if algo_name == "none" {
         None
     } else {
-        let k: usize = match flag(args, "--k") {
-            Some(v) => v.parse().map_err(|e| format!("bad --k {v:?}: {e}"))?,
-            None => 8,
-        };
+        let k = parsed(args, "--k")?.unwrap_or(8);
         Some(reorderer_from(&algo_name, k, no_fallback)?)
     };
     let b = if a.nrows() == a.ncols() {
@@ -536,15 +519,15 @@ fn print_report(rep: &bootes::accel::TrafficReport) {
 }
 
 fn cmd_train(args: &[String]) -> Result<(), String> {
+    check_flags(
+        "train",
+        args,
+        &["-o", "--corpus", "--accel", "--cache", "--seed"],
+        &[],
+    )?;
     let out_path = flag(args, "-o").ok_or("train needs -o <model.json>")?;
-    let corpus_size: usize = match flag(args, "--corpus") {
-        Some(v) => v.parse().map_err(|e| format!("bad --corpus {v:?}: {e}"))?,
-        None => 60,
-    };
-    let seed: u64 = match flag(args, "--seed") {
-        Some(v) => v.parse().map_err(|e| format!("bad --seed {v:?}: {e}"))?,
-        None => 42,
-    };
+    let corpus_size: usize = parsed(args, "--corpus")?.unwrap_or(60);
+    let seed: u64 = parsed(args, "--seed")?.unwrap_or(42);
     let accel = accel_from(args)?;
     eprintln!(
         "labeling {corpus_size} synthetic matrices on {} (cache {} B)...",
@@ -602,6 +585,7 @@ fn measure_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Result<Label, Stri
     // Candidate-k sweeps are independent; fan them out (folding in k order
     // keeps the label identical for any thread count).
     let sweeps = bootes::par::map_indices(
+        "label.sweep",
         bootes::par::threads().min(CANDIDATE_KS.len()),
         CANDIDATE_KS.len(),
         |i| -> Result<Option<(usize, u64)>, String> {
@@ -617,7 +601,8 @@ fn measure_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Result<Label, Stri
                 .total_bytes();
             Ok(Some((k, t)))
         },
-    );
+    )
+    .map_err(|e| e.to_string())?;
     let mut best: Option<(usize, u64)> = None;
     for sweep in sweeps {
         if let Some((k, t)) = sweep? {
@@ -633,14 +618,12 @@ fn measure_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Result<Label, Stri
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
+    check_flags("analyze", args, &["--pes"], &[])?;
     let input = args
         .first()
         .filter(|a| !a.starts_with('-'))
         .ok_or("analyze needs an input file")?;
-    let pes: usize = match flag(args, "--pes") {
-        Some(v) => v.parse().map_err(|e| format!("bad --pes {v:?}: {e}"))?,
-        None => 64,
-    };
+    let pes: usize = parsed(args, "--pes")?.unwrap_or(64);
     let a = load(input)?;
     let profile = bootes::reorder::b_reuse_profile_scheduled(&a, pes);
     println!(
@@ -688,6 +671,12 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_perf_speedup(args: &[String]) -> Result<(), String> {
+    check_flags(
+        "perf speedup",
+        args,
+        &["--file", "--floor", "--k-mad"],
+        &["-D", "--deny-regressions"],
+    )?;
     let mut cfg = bootes::perf::SpeedupConfig::default();
     // Any explicit --floor list replaces the default, so CI pins exactly the
     // kernels it gates.
@@ -702,17 +691,14 @@ fn cmd_perf_speedup(args: &[String]) -> Result<(), String> {
             let (kernel, floor) = spec
                 .split_once('=')
                 .ok_or_else(|| format!("bad --floor {spec:?}: expected KERNEL=SPEEDUP"))?;
-            let floor: f64 = floor
-                .parse()
-                .map_err(|e| format!("bad --floor {spec:?}: {e}"))?;
-            Ok((kernel.to_string(), floor))
+            Ok((kernel.to_string(), parse_value("--floor", floor)?))
         })
         .collect::<Result<_, String>>()?;
     if !floors.is_empty() {
         cfg.floors = floors;
     }
-    if let Some(v) = flag(args, "--k-mad") {
-        cfg.k_mad = v.parse().map_err(|e| format!("bad --k-mad {v:?}: {e}"))?;
+    if let Some(k_mad) = parsed(args, "--k-mad")? {
+        cfg.k_mad = k_mad;
     }
     let path = flag(args, "--file").map_or_else(
         || bootes::perf::results_dir().join("par_speedup.json"),
@@ -748,19 +734,20 @@ fn cmd_perf_speedup(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_perf_diff(args: &[String]) -> Result<(), String> {
+    check_flags(
+        "perf diff",
+        args,
+        &["--baseline", "--rel-threshold", "--k-mad", "--abs-floor-ms"],
+        &["-D", "--deny-regressions"],
+    )?;
     let mut cfg = bootes::perf::DiffConfig::default();
-    if let Some(v) = flag(args, "--rel-threshold") {
-        cfg.rel_threshold = v
-            .parse()
-            .map_err(|e| format!("bad --rel-threshold {v:?}: {e}"))?;
+    if let Some(rel) = parsed(args, "--rel-threshold")? {
+        cfg.rel_threshold = rel;
     }
-    if let Some(v) = flag(args, "--k-mad") {
-        cfg.k_mad = v.parse().map_err(|e| format!("bad --k-mad {v:?}: {e}"))?;
+    if let Some(k_mad) = parsed(args, "--k-mad")? {
+        cfg.k_mad = k_mad;
     }
-    if let Some(v) = flag(args, "--abs-floor-ms") {
-        let ms: f64 = v
-            .parse()
-            .map_err(|e| format!("bad --abs-floor-ms {v:?}: {e}"))?;
+    if let Some(ms) = parsed::<f64>(args, "--abs-floor-ms")? {
         cfg.abs_floor_ns = ms * 1e6;
     }
     let strict = args.iter().any(|a| a == "-D" || a == "--deny-regressions");
@@ -783,6 +770,7 @@ fn cmd_perf_diff(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_perf_bless(args: &[String]) -> Result<(), String> {
+    check_flags("perf bless", args, &["--baseline"], &[])?;
     let root = perf_root(args);
     let mut benches: Vec<String> = args
         .iter()
@@ -834,40 +822,38 @@ fn cmd_perf_bless(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String], drift: Option<bootes::core::DriftConfig>) -> Result<(), String> {
+    check_flags(
+        "serve",
+        args,
+        &[
+            "--listen",
+            "--model",
+            "--serve-workers",
+            "--queue-cap",
+            "--max-inflight",
+            "--max-tenant-mb",
+            "--drain-grace-ms",
+        ],
+        &[],
+    )?;
     let mut config = bootes::serve::ServeConfig::default();
     if let Some(addr) = flag(args, "--listen") {
         config.listen = addr;
     }
-    if let Some(v) = flag(args, "--serve-workers") {
-        config.workers = v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad --serve-workers value {v:?}"))?;
+    if let Some(n) = parsed::<NonZeroUsize>(args, "--serve-workers")? {
+        config.workers = n.get();
     }
-    if let Some(v) = flag(args, "--queue-cap") {
-        config.queue_cap = v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad --queue-cap value {v:?}"))?;
+    if let Some(n) = parsed::<NonZeroUsize>(args, "--queue-cap")? {
+        config.queue_cap = n.get();
     }
-    if let Some(v) = flag(args, "--max-inflight") {
-        let n: u64 = v
-            .parse()
-            .map_err(|e| format!("bad --max-inflight {v:?}: {e}"))?;
+    if let Some(n) = parsed(args, "--max-inflight")? {
         config.policy = config.policy.with_inflight(n);
     }
-    if let Some(v) = flag(args, "--max-tenant-mb") {
-        let mb: u64 = v
-            .parse()
-            .map_err(|e| format!("bad --max-tenant-mb {v:?}: {e}"))?;
+    if let Some(mb) = parsed::<u64>(args, "--max-tenant-mb")? {
         config.policy = config.policy.with_bytes(mb.saturating_mul(1024 * 1024));
     }
-    if let Some(v) = flag(args, "--drain-grace-ms") {
-        config.drain_grace_ms = v
-            .parse()
-            .map_err(|e| format!("bad --drain-grace-ms {v:?}: {e}"))?;
+    if let Some(ms) = parsed(args, "--drain-grace-ms")? {
+        config.drain_grace_ms = ms;
     }
     let model = match flag(args, "--model") {
         Some(path) => {
@@ -901,18 +887,29 @@ fn cmd_serve(args: &[String], drift: Option<bootes::core::DriftConfig>) -> Resul
 }
 
 fn cmd_chaos(args: &[String]) -> Result<(), String> {
+    check_flags(
+        "chaos",
+        args,
+        &[
+            "--seeds",
+            "--seed",
+            "--requests",
+            "--scratch",
+            "--replay",
+            "--out",
+        ],
+        &["--keep-going", "--no-shrink"],
+    )?;
     let bin = std::env::current_exe().map_err(|e| format!("locate own binary: {e}"))?;
     let mut cfg = bootes::chaos::ChaosConfig::new(bin);
-    if let Some(v) = flag(args, "--seeds") {
-        cfg.seeds = v.parse().map_err(|e| format!("bad --seeds {v:?}: {e}"))?;
+    if let Some(seeds) = parsed(args, "--seeds")? {
+        cfg.seeds = seeds;
     }
-    if let Some(v) = flag(args, "--seed") {
-        cfg.start_seed = v.parse().map_err(|e| format!("bad --seed {v:?}: {e}"))?;
+    if let Some(seed) = parsed(args, "--seed")? {
+        cfg.start_seed = seed;
     }
-    if let Some(v) = flag(args, "--requests") {
-        cfg.requests = v
-            .parse()
-            .map_err(|e| format!("bad --requests {v:?}: {e}"))?;
+    if let Some(requests) = parsed(args, "--requests")? {
+        cfg.requests = requests;
     }
     if let Some(dir) = flag(args, "--scratch") {
         cfg.scratch = std::path::PathBuf::from(dir);
@@ -998,6 +995,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_decide(args: &[String], drift: Option<bootes::core::DriftConfig>) -> Result<(), String> {
+    check_flags("decide", args, &["--model"], &[])?;
     let input = args
         .first()
         .filter(|a| !a.starts_with('-'))

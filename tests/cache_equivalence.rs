@@ -197,3 +197,64 @@ fn corrupt_disk_entry_is_quarantined_and_missed() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Whether `name` appears anywhere in a profile's span tree.
+fn has_span(nodes: &[bootes::obs::SpanNode], name: &str) -> bool {
+    nodes
+        .iter()
+        .any(|n| n.name == name || has_span(&n.children, name))
+}
+
+/// The reuse `bootes reorder --cache-dir` actually gets: a second run over
+/// the same directory serves the converged eigenpairs from disk (a
+/// `cache.hit`, no `spectral.lanczos` span) and writes a byte-identical
+/// output file.
+#[test]
+fn cli_reorder_reuses_cached_eigenpairs_across_runs() {
+    let dir = scratch_dir("cli");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/clustered_96.mtx");
+    let run = |tag: &str| -> (Vec<u8>, bootes::obs::Profile) {
+        let out = dir.join(format!("{tag}.mtx"));
+        let profile = dir.join(format!("{tag}.json"));
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_bootes"))
+            .arg("reorder")
+            .arg(&fixture)
+            .arg("-o")
+            .arg(&out)
+            .arg("--cache-dir")
+            .arg(dir.join("cache"))
+            .arg("--profile-out")
+            .arg(&profile)
+            .output()
+            .expect("run bootes binary");
+        assert!(
+            status.status.success(),
+            "{tag} run failed: {}",
+            String::from_utf8_lossy(&status.stderr)
+        );
+        let text = std::fs::read_to_string(&profile).expect("profile written");
+        (
+            std::fs::read(&out).expect("output written"),
+            serde_json::from_str(&text).expect("profile parses"),
+        )
+    };
+    let (cold_out, cold) = run("cold");
+    let (warm_out, warm) = run("warm");
+    assert!(has_span(&cold.spans, "spectral.lanczos"), "cold run solves");
+    let hits = warm
+        .counters
+        .iter()
+        .find(|c| c.name == "cache.hit")
+        .map_or(0, |c| c.value);
+    assert!(
+        hits >= 1,
+        "second run must hit the cache (cache.hit = {hits})"
+    );
+    assert!(
+        !has_span(&warm.spans, "spectral.lanczos"),
+        "second run must reuse the cached eigenpairs instead of solving"
+    );
+    assert_eq!(cold_out, warm_out, "outputs must be byte-identical");
+    let _ = std::fs::remove_dir_all(&dir);
+}

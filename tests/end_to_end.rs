@@ -229,6 +229,45 @@ fn analyze_profile_flag_emits_valid_json_profile() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every subcommand rejects flags it does not accept: a removed flag
+/// (`--spgemm`, `--cache-warm-start`) or a typo (`--time-budget` for
+/// `--time-budget-ms`) must fail loudly, not be ignored.
+#[test]
+fn cli_rejects_unknown_flags() {
+    let dir = std::env::temp_dir().join(format!("bootes_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fixture =
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/dense_16.mtx");
+    let out = dir.join("out.mtx");
+    let reorder = |extra: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_bootes"))
+            .arg("reorder")
+            .arg(&fixture)
+            .arg("-o")
+            .arg(&out)
+            .args(extra)
+            .output()
+            .expect("run bootes binary")
+    };
+    assert!(reorder(&[]).status.success(), "baseline invocation works");
+    for extra in [
+        &["--spgemm", "hash"][..],
+        &["--cache-warm-start"][..],
+        &["--time-budget", "500"][..],
+    ] {
+        let _ = std::fs::remove_file(&out);
+        let run = reorder(extra);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "{extra:?} was accepted");
+        assert!(
+            stderr.contains(&format!("unknown flag {:?}", extra[0])),
+            "{extra:?}: {stderr}"
+        );
+        assert!(!out.exists(), "{extra:?}: output written despite the error");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Golden snapshots: full-pipeline output on the checked-in fixtures under
 // tests/fixtures/. Each snapshot captures the decision class, chosen k, the

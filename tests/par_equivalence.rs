@@ -7,14 +7,10 @@
 //! count in {1, 2, 4, 8} (which exercises the serial-inline path, pool
 //! dispatch, and oversubscribed chunk claiming, regardless of the host's
 //! CPU count) must produce output bit-identical to the 1-thread run — for
-//! the dense-, hash-, and adaptive-accumulator SpGEMM, the similarity
-//! product, and SpMV. Floats are compared via `to_bits`, so `-0.0 != 0.0`
+//! SpGEMM, the similarity product, and SpMV. Floats are compared via `to_bits`, so `-0.0 != 0.0`
 //! and no epsilon can hide a reassociated sum.
 
-use bootes::sparse::ops::{
-    par_similarity_matrix, par_spgemm, par_spgemm_adaptive, par_spgemm_hash, set_spgemm_dataflow,
-    spgemm, spgemm_dataflow, SpgemmDataflow,
-};
+use bootes::sparse::ops::{par_similarity_matrix, par_spgemm, spgemm};
 use bootes::sparse::{CooMatrix, CsrMatrix};
 use proptest::prelude::*;
 
@@ -52,20 +48,18 @@ fn bit_identical(a: &CsrMatrix, b: &CsrMatrix) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dense-, hash-, and adaptive-accumulator SpGEMM agree bitwise with
-    /// their own serial runs — and with each other — at every thread count.
+    /// SpGEMM agrees bitwise with its serial run at every thread count, and
+    /// the `spgemm()` entry point (global thread policy) agrees with both.
     #[test]
     fn spgemm_variants_bit_identical_across_threads(a in square_matrix(18, 70)) {
         let b = a.transpose();
         let serial = par_spgemm(&a, &b, 1).expect("valid operands");
         for t in THREAD_COUNTS {
             let dense = par_spgemm(&a, &b, t).expect("valid operands");
-            let hash = par_spgemm_hash(&a, &b, t).expect("valid operands");
-            let adaptive = par_spgemm_adaptive(&a, &b, t).expect("valid operands");
             prop_assert!(bit_identical(&dense, &serial), "dense t={t}");
-            prop_assert!(bit_identical(&hash, &serial), "hash t={t}");
-            prop_assert!(bit_identical(&adaptive, &serial), "adaptive t={t}");
         }
+        let entry = spgemm(&a, &b).expect("valid operands");
+        prop_assert!(bit_identical(&entry, &serial), "spgemm() entry point");
     }
 
     /// The similarity product is bit-identical across thread counts.
@@ -78,27 +72,6 @@ proptest! {
                 "similarity t={t}"
             );
         }
-    }
-
-    /// The public `spgemm()` entry point is bit-identical under every
-    /// process-global dataflow setting (dense / hash / adaptive), so the
-    /// PR-9 promotion of the adaptive accumulator to the default — and the
-    /// `--spgemm` / `BOOTES_SPGEMM` escape hatch — can never change results.
-    ///
-    /// This test owns the process-global dataflow switch; no other test in
-    /// this binary routes through `spgemm()`, so sweeping it here is safe.
-    #[test]
-    fn spgemm_entry_point_bit_identical_across_dataflows(a in square_matrix(18, 70)) {
-        let b = a.transpose();
-        let reference = par_spgemm(&a, &b, 1).expect("valid operands");
-        for dataflow in [SpgemmDataflow::Dense, SpgemmDataflow::Hash, SpgemmDataflow::Adaptive] {
-            set_spgemm_dataflow(dataflow);
-            prop_assert_eq!(spgemm_dataflow(), dataflow);
-            let out = spgemm(&a, &b).expect("valid operands");
-            prop_assert!(bit_identical(&out, &reference), "dataflow {}", dataflow.name());
-        }
-        // Leave the process default in place for any later-added tests.
-        set_spgemm_dataflow(SpgemmDataflow::default());
     }
 
     /// SpMV is bit-identical across thread counts.
